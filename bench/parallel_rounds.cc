@@ -36,9 +36,13 @@
 // generate / inject / BeginRound / StepShard / flush / finish / sample
 // separately and reports each config's serial share, with the pipelined
 // epilogue off ("before": EndRound fully serial) and on ("after":
-// destination-partitioned flush overlapped with next-round generation):
+// destination-partitioned flush overlapped with next-round generation).
+// Runs go through the engine's per-round gate, and each row reports how
+// many rounds it fanned out (pooled_rounds); each cell keeps the fastest
+// of --repeat runs:
 //   build/bench/parallel_rounds --phases [--smoke] [--rounds=300]
-//       [--rho=0.15] [--b=3000] [--radius=8] [--json=BENCH_pipeline.json]
+//       [--rho=0.15] [--b=3000] [--radius=8] [--repeat=5]
+//       [--json=BENCH_pipeline.json]
 //
 // Large-s grid mode (the ROADMAP s = 1024 sweep). Besides the standard
 // cells it appends the diameter_span before/after pair at s = 1024 — "fds"
@@ -114,6 +118,7 @@ struct TimedRun {
   net::LaneMemory lane_memory_at_end;  ///< outbox footprint after the run
   common::ArenaMemoryStats arena_at_end;  ///< coloring step-scratch arenas
   core::PhaseTimes phases;
+  Round pooled_rounds = 0;  ///< rounds the engine fanned out on the pool
   double leader_in_share = 0;   ///< max_i messages_in(i) / messages_sent
   double leader_out_share = 0;  ///< max_i messages_out(i) / messages_sent
   /// messages_in of each top-layer root cluster's leader, in root order
@@ -124,8 +129,14 @@ struct TimedRun {
   std::vector<std::uint64_t> root_leader_in;
 };
 
+/// Which rounds of a multi-worker run fan out. kGated times the engine as
+/// shipped (its per-round gate picks); kEveryRound fans out every round so
+/// determinism checks compare the pooled paths even on grids whose rounds
+/// never reach the gate.
+enum class Fanout { kGated, kEveryRound };
+
 TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
-                 bool pipeline = true) {
+                 bool pipeline = true, Fanout fanout = Fanout::kEveryRound) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
   // This bench measures the pool itself (speedup columns, determinism
@@ -133,6 +144,7 @@ TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
   // "parallel" run: force the pool on whenever workers > 1.
   config.min_shards_per_worker = 1;
   core::Simulation sim(config);
+  if (fanout == Fanout::kEveryRound) sim.PoolEveryRound();
   TimedRun timed;
   timed.memory_at_start = sim.scheduler().NetworkMemory();
   const auto start = std::chrono::steady_clock::now();
@@ -144,6 +156,7 @@ TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
   timed.lane_memory_at_end = sim.scheduler().OutboxMemory();
   timed.arena_at_end = sim.scheduler().ArenaMemory();
   timed.phases = sim.phase_times();
+  timed.pooled_rounds = sim.pooled_rounds();
   std::uint64_t max_in = 0, max_out = 0;
   for (ShardId shard = 0; shard < config.shards; ++shard) {
     const net::ShardTraffic traffic = sim.scheduler().ShardTrafficFor(shard);
@@ -294,7 +307,8 @@ int RunGrid(const Flags& flags) {
   bool all_identical = true;
   auto run_cell = [&](const core::SimConfig& config) -> const GridRow& {
     const TimedRun serial = RunOnce(config, 1);
-    const TimedRun parallel = RunOnce(config, workers);
+    const TimedRun parallel =
+        RunOnce(config, workers, /*pipeline=*/true, Fanout::kGated);
     const bool identical = Identical(serial.result, parallel.result);
     all_identical = all_identical && identical;
 
@@ -446,6 +460,8 @@ struct PhasesRow {
   double serial_share = 0;
   double max_single_leader_queue = 0;  ///< SimResult peak per-leader queue
   bool identical = false;
+  Round pooled_rounds = 0;
+  Round rounds_executed = 0;
   core::PhaseTimes phases;
   net::LaneMemory lanes;
   common::ArenaMemoryStats arena;
@@ -456,12 +472,20 @@ int RunPhases(const Flags& flags) {
   const auto rounds =
       static_cast<Round>(flags.GetUint("rounds", smoke ? 200 : 300));
   const double rho = flags.GetDouble("rho", 0.15);
-  const double burst = flags.GetDouble("b", smoke ? 500 : 3000);
+  // The smoke keeps the full burst: its rounds must reach the per-round
+  // gate, or the smoke would never run a pooled round.
+  const double burst = flags.GetDouble("b", 3000);
   const std::uint64_t seed = flags.GetUint("seed", 42);
   const auto radius = static_cast<Distance>(flags.GetUint("radius", 8));
+  const auto repeat =
+      static_cast<std::uint32_t>(flags.GetUint("repeat", smoke ? 1 : 5));
   const std::string json_path =
       flags.GetString("json", "BENCH_pipeline.json");
   if (!flags.FinishReads()) return 2;
+  if (repeat == 0) {
+    std::fprintf(stderr, "--repeat: must be at least 1\n");
+    return 2;
+  }
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
     std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
@@ -480,68 +504,117 @@ int RunPhases(const Flags& flags) {
   std::printf(
       "parallel_rounds phases: per-round wall-clock split, pipelined "
       "epilogue off (\"before\": serial EndRound) vs on (\"after\": "
-      "destination-partitioned flush + overlapped generation)\n\n");
-  std::printf("%6s %8s %5s %7s %8s | %8s %8s | %8s %8s %8s %8s | %8s\n", "s",
-              "topology", "sched", "workers", "pipeline", "seconds",
-              "speedup", "step_s", "flush_s", "finish_s", "serial%",
-              "identical");
+      "destination-partitioned flush + overlapped generation); best of "
+      "%u runs per cell\n\n",
+      repeat);
+  std::printf(
+      "%6s %8s %5s %7s %8s | %8s %8s | %8s %8s %8s %8s | %8s | %8s\n", "s",
+      "topology", "sched", "workers", "pipeline", "seconds", "speedup",
+      "step_s", "flush_s", "finish_s", "serial%", "pooled", "identical");
 
-  std::vector<PhasesRow> rows;
-  bool all_identical = true;
+  // One untimed pooled run first. Once a process has started a thread,
+  // glibc keeps its locked multi-thread malloc paths for good, which made
+  // a serial s = 256 BDS run about 8% slower. Without the warm-up only the
+  // very first workers = 1 baseline would run single-threaded, and its
+  // cells' speedups would carry that tax.
+  {
+    core::SimConfig warm = bench::LargeGridConfig(
+        {cells[0].first, cells[0].second, sizes.front()}, rho, burst, rounds,
+        radius);
+    warm.seed = seed;
+    RunOnce(warm, worker_grid.back(), /*pipeline=*/true, Fanout::kEveryRound);
+  }
+
+  // Every (cell, workers, pipeline) run, in sweep order. The repetitions
+  // are whole sweeps, so a slow stretch of the host lands on every cell of
+  // one sweep rather than on all repetitions of one cell; each run keeps
+  // its fastest repetition, and every repetition must match its cell's
+  // workers = 1 result.
+  struct PhasesRun {
+    core::SimConfig config;
+    std::uint32_t workers = 1;
+    bool pipeline = true;
+    std::size_t baseline = 0;  ///< index of the cell's workers = 1 run
+    TimedRun best;
+    bool identical = true;
+  };
+  std::vector<PhasesRun> runs;
   for (const auto& [topology, scheduler] : cells) {
     for (const ShardId shards : sizes) {
       core::SimConfig config = bench::LargeGridConfig(
           {topology, scheduler, shards}, rho, burst, rounds, radius);
       config.seed = seed;
-
-      TimedRun baseline;
+      const std::size_t baseline = runs.size();
       for (const std::uint32_t workers : worker_grid) {
         // workers = 1 has no pool, so the pipeline flag is moot: run it
         // once as the shared baseline.
         for (const bool pipeline : {false, true}) {
           if (workers == 1 && !pipeline) continue;
-          const TimedRun timed = RunOnce(config, workers, pipeline);
-          if (workers == 1) baseline = timed;
-          const bool identical =
-              Identical(baseline.result, timed.result);
-          all_identical = all_identical && identical;
-
-          PhasesRow row;
-          row.shards = shards;
-          row.topology = net::TopologyName(topology);
-          row.scheduler = scheduler;
-          row.workers = workers;
-          row.pipeline = pipeline;
-          row.seconds = timed.seconds;
-          row.speedup =
-              timed.seconds > 0 ? baseline.seconds / timed.seconds : 0.0;
-          row.serial_share = SerialShare(timed.phases);
-          row.max_single_leader_queue =
-              timed.result.max_single_leader_queue;
-          row.identical = identical;
-          row.phases = timed.phases;
-          row.lanes = timed.lane_memory_at_end;
-          row.arena = timed.arena_at_end;
-          rows.push_back(row);
-
-          std::printf(
-              "%6u %8s %5s %7u %8s | %8.3f %7.2fx | %8.3f %8.3f %8.3f "
-              "%7.1f%% | %8s\n",
-              shards, row.topology.c_str(), scheduler, workers,
-              workers == 1 ? "n/a" : (pipeline ? "on" : "off"),
-              timed.seconds, row.speedup, timed.phases.step,
-              timed.phases.flush, timed.phases.finish,
-              100.0 * row.serial_share, identical ? "yes" : "NO");
+          runs.push_back({config, workers, pipeline, baseline, {}, true});
         }
       }
     }
+  }
+  for (std::uint32_t rep = 0; rep < repeat; ++rep) {
+    for (PhasesRun& run : runs) {
+      TimedRun timed =
+          RunOnce(run.config, run.workers, run.pipeline, Fanout::kGated);
+      const PhasesRun& base = runs[run.baseline];
+      if (&base != &run || rep > 0) {
+        run.identical =
+            run.identical && Identical(base.best.result, timed.result);
+      }
+      if (rep == 0 || timed.seconds < run.best.seconds) {
+        run.best = std::move(timed);
+      }
+    }
+  }
+
+  std::vector<PhasesRow> rows;
+  bool all_identical = true;
+  for (const PhasesRun& run : runs) {
+    const TimedRun& timed = run.best;
+    const double baseline_seconds = runs[run.baseline].best.seconds;
+    all_identical = all_identical && run.identical;
+    // The smoke's burst is sized to reach the gate: a multi-worker cell
+    // that never fans out would check nothing about the pool.
+    SSHARD_CHECK((!smoke || run.workers == 1 || timed.pooled_rounds > 0) &&
+                 "phases smoke: a multi-worker cell ran no pooled round");
+
+    PhasesRow row;
+    row.shards = run.config.shards;
+    row.topology = net::TopologyName(run.config.topology);
+    row.scheduler = run.config.scheduler;
+    row.workers = run.workers;
+    row.pipeline = run.pipeline;
+    row.seconds = timed.seconds;
+    row.speedup = timed.seconds > 0 ? baseline_seconds / timed.seconds : 0.0;
+    row.serial_share = SerialShare(timed.phases);
+    row.max_single_leader_queue = timed.result.max_single_leader_queue;
+    row.identical = run.identical;
+    row.pooled_rounds = timed.pooled_rounds;
+    row.rounds_executed = timed.result.rounds_executed;
+    row.phases = timed.phases;
+    row.lanes = timed.lane_memory_at_end;
+    row.arena = timed.arena_at_end;
+    rows.push_back(row);
+
+    std::printf(
+        "%6u %8s %5s %7u %8s | %8.3f %7.2fx | %8.3f %8.3f %8.3f "
+        "%7.1f%% | %8llu | %8s\n",
+        row.shards, row.topology.c_str(), row.scheduler.c_str(), row.workers,
+        row.workers == 1 ? "n/a" : (row.pipeline ? "on" : "off"),
+        timed.seconds, row.speedup, timed.phases.step, timed.phases.flush,
+        timed.phases.finish, 100.0 * row.serial_share,
+        static_cast<unsigned long long>(row.pooled_rounds),
+        row.identical ? "yes" : "NO");
   }
 
   std::fprintf(json,
                "{\n  \"bench\": \"parallel_rounds_phases\",\n"
                "  \"burst\": %.0f,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"rows\": [\n",
-               burst, rho, static_cast<unsigned long long>(rounds));
+               "  \"repeat\": %u,\n  \"rows\": [\n",
+               burst, rho, static_cast<unsigned long long>(rounds), repeat);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const PhasesRow& row = rows[i];
     std::fprintf(
@@ -549,6 +622,7 @@ int RunPhases(const Flags& flags) {
         "    {\"s\": %u, \"topology\": \"%s\", \"scheduler\": \"%s\",\n"
         "     \"workers\": %u, \"pipeline\": %s,\n"
         "     \"seconds\": %.6f, \"speedup\": %.4f, \"identical\": %s,\n"
+        "     \"pooled_rounds\": %llu, \"rounds_executed\": %llu,\n"
         "     \"serial_share\": %.6f,\n"
         "     \"max_single_leader_queue\": %.6f,\n"
         "     \"phase_generate\": %.6f, \"phase_inject\": %.6f,\n"
@@ -562,7 +636,10 @@ int RunPhases(const Flags& flags) {
         "     \"arena_resets\": %llu}%s\n",
         row.shards, row.topology.c_str(), row.scheduler.c_str(), row.workers,
         row.pipeline ? "true" : "false", row.seconds, row.speedup,
-        row.identical ? "true" : "false", row.serial_share,
+        row.identical ? "true" : "false",
+        static_cast<unsigned long long>(row.pooled_rounds),
+        static_cast<unsigned long long>(row.rounds_executed),
+        row.serial_share,
         row.max_single_leader_queue,
         row.phases.generate, row.phases.inject, row.phases.begin,
         row.phases.step, row.phases.flush, row.phases.finish,
@@ -607,6 +684,7 @@ BackpressureRun RunHotDestination(core::SimConfig config,
   config.pipeline = pipeline;
   config.min_shards_per_worker = 1;  // pool on: the checks compare workers
   core::Simulation sim(config);
+  sim.PoolEveryRound();  // on every round, below the per-round gate too
   BackpressureRun run;
   run.result = sim.Run();
   if (const auto* backpressure =
@@ -1436,7 +1514,8 @@ int RunSingle(const Flags& flags) {
   bool all_identical = true;
   double best_speedup = 1.0;
   for (std::uint32_t workers = 2; workers <= max_workers; workers *= 2) {
-    const TimedRun timed = RunOnce(config, workers);
+    const TimedRun timed =
+        RunOnce(config, workers, /*pipeline=*/true, Fanout::kGated);
     const bool identical = Identical(serial.result, timed.result);
     all_identical = all_identical && identical;
     const double speedup = serial.seconds / timed.seconds;

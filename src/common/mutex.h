@@ -3,9 +3,10 @@
 // libstdc++'s std::mutex carries no thread-safety attributes, so clang's
 // -Wthread-safety analysis cannot see std::unique_lock acquisitions. These
 // thin wrappers re-expose std::mutex / std::condition_variable with the
-// capability annotations attached (the Abseil/Chromium pattern), which is
-// what lets ThreadPool declare its queue state SSHARD_GUARDED_BY(mutex_)
-// and have an unlocked access fail compilation under clang.
+// capability annotations attached (the Abseil/Chromium pattern), so a
+// member declared SSHARD_GUARDED_BY(mutex_) fails compilation under clang
+// when touched unlocked. (ThreadPool needs none: it publishes each job
+// through atomics.)
 //
 // PhaseCapability is the lock-free sibling: a zero-size "role" capability
 // for the double-buffered phase contracts (sealed outbox lanes, sealed

@@ -6,8 +6,8 @@
 // turn the repo's concurrency contracts into compile errors:
 //
 //   * common::Mutex / common::MutexLock / common::CondVar (common/mutex.h)
-//     are real annotated capabilities — ThreadPool's queue state is
-//     SSHARD_GUARDED_BY its mutex, so an unlocked touch fails to compile;
+//     are real annotated capabilities — state declared SSHARD_GUARDED_BY
+//     one of them fails to compile when touched unlocked;
 //   * the phase-ordered components (net::Network's Deposit/Commit split,
 //     net::OutboxSet's sealed/open lanes, core::CommitLedger's journal
 //     seal/flush) each expose a common::PhaseCapability — a lock-free

@@ -122,6 +122,27 @@ void BdsScheduler::BeginRound(Round round) {
   }
 }
 
+std::uint64_t BdsScheduler::RoundWork(Round round) const {
+  // Uniform metric: every message is delivered the round after it was
+  // sent, so everything in flight is due now — an O(1) DueCount.
+  std::uint64_t work = network_.in_flight();
+  SSHARD_DCHECK(work == network_.DueCount(round));
+  switch (phase_) {
+    case Phase::kShipPending:
+      // Every home ships its own queue: the one BDS round whose work
+      // scales with the backlog and splits across shards.
+      work += pending_in_queues();
+      break;
+    case Phase::kLeaderColor:
+      // The batches all land at the leader, which colors them alone.
+      work -= network_.DueCountFor(leader_, round);
+      break;
+    case Phase::kNone:
+      break;
+  }
+  return work;
+}
+
 void BdsScheduler::StepShard(ShardId shard, Round round) {
   const OwnershipRegistry::ShardClaim claim(ownership_, shard);
   network_.DeliverTo(shard, round, inbox_[shard]);

@@ -100,6 +100,7 @@ class BdsScheduler final : public Scheduler {
 
   void Inject(const txn::Transaction& txn) override;
   void BeginRound(Round round) override;
+  std::uint64_t RoundWork(Round round) const override;
   void StepShard(ShardId shard, Round round) override;
   void EndRound(Round round) override
       SSHARD_EXCLUDES(outbox_.sealed_cap, ledger_->journal_cap);

@@ -31,6 +31,14 @@ std::uint64_t CommitProtocol::queued_subtxns() const {
   return count;
 }
 
+std::uint64_t CommitProtocol::busy_destinations() const {
+  std::uint64_t count = 0;
+  for (const DestinationQueue& queue : queues_) {
+    if (!queue.entries.empty()) ++count;
+  }
+  return count;
+}
+
 std::uint64_t CommitProtocol::pinned_count() const {
   std::uint64_t count = 0;
   for (const DestinationQueue& queue : queues_) {

@@ -125,6 +125,9 @@ class CommitProtocol {
   std::uint64_t pinned_count() const;
   std::uint64_t coordinated_unresolved() const;
   std::uint64_t retracts_sent() const;
+  /// Destinations with a non-empty queue — the shards whose
+  /// IssueVotesForShard has a vote or an in-order apply to consider.
+  std::uint64_t busy_destinations() const;
   bool Idle() const;
 
   /// Queue length of one destination shard (tests).

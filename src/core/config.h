@@ -148,15 +148,15 @@ struct SimConfig {
   /// the serial epilogue either way — the switch exists for the
   /// before/after comparison in bench/parallel_rounds --phases.
   bool pipeline = true;
-  /// Small-grid pool overhead guard: when shards / worker_threads falls
-  /// below this, the engine skips the worker pool entirely and runs the
-  /// serial step path — per-round dispatch/wake overhead exceeds the
-  /// parallel win on small grids (BENCH_pipeline.json: workers=4 was 0.74x
-  /// at s=256, i.e. *slower* than serial). Results are bit-identical either
+  /// Small-grid pool guard: when shards / worker_threads falls below
+  /// this, the engine never builds the worker pool and every round runs
+  /// serially. Where the pool exists, the engine's per-round gate still
+  /// fans out only the rounds whose Scheduler::RoundWork pays for the
+  /// wake-ups (see docs/ARCHITECTURE.md). Results are bit-identical either
   /// way (the decomposition is deterministic), so this is purely a
   /// wall-clock policy. The default keeps s=1024 x 8 workers parallel and
-  /// serializes s=256 x 4. Set to 1 to force the pool on (tests and the
-  /// determinism benches do, so worker-count coverage stays real). Must be
+  /// serializes s=256 x 4. Set to 1 to build the pool on any grid (tests,
+  /// the determinism benches and the repository benchmark do). Must be
   /// >= 1; CLIs validate via ValidateMinShardsPerWorker and exit 2.
   std::uint32_t min_shards_per_worker = 128;
   /// After `rounds`, keep stepping (without injection) until the scheduler

@@ -30,6 +30,12 @@ void DirectScheduler::BeginRound(Round round) {
   ownership_.BeginStepPhase();
 }
 
+std::uint64_t DirectScheduler::RoundWork(Round round) const {
+  // Every home ships its own injections; every destination votes.
+  return network_.DueCount(round) + injected_waiting_ +
+         protocol_.busy_destinations();
+}
+
 void DirectScheduler::StepShard(ShardId shard, Round round) {
   const OwnershipRegistry::ShardClaim claim(ownership_, shard);
   SSHARD_OWNED(ownership_, shard);  // inbox_ and inject_by_home_ are

@@ -21,6 +21,22 @@ inline double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+// The per-round fan-out gate. A pooled round pays a fixed cost: waking
+// the workers for the step region (and again for the flush region when
+// pipelined) and waking the driving thread back, tens of microseconds on
+// a 4-vCPU VM. It saves the part of the round's splittable work that
+// leaves the driving thread's critical path: everything but one worker's
+// share. A round is pooled when that saving, counted in
+// Scheduler::RoundWork units (about one message handled each), reaches
+// this constant. Per-round serial-vs-pooled timings over BDS uniform and
+// FDS line at s = 256 and 1024 with 2, 4 and 8 workers put the break-even
+// at 250-400 units. The constant sits above that because a run that mixes
+// pooled and serial rounds keeps its pooled rounds' allocations in the
+// workers' malloc arenas: at 320 a 2-worker FDS run gained under 5% and
+// grew its peak RSS by about 10%; at 512 that run stays serial. See
+// docs/ARCHITECTURE.md (per-round pool gate).
+constexpr std::uint64_t kMinOffloadedWork = 512;
+
 }  // namespace
 
 Simulation::Simulation(const SimConfig& config)
@@ -149,11 +165,11 @@ Simulation::Simulation(const SimConfig& config)
   scheduler_ =
       SchedulerRegistry::Global().Build(config.scheduler, config_, deps);
 
-  // Pool-overhead guard: on small grids the per-round dispatch/wake cost
-  // exceeds the parallel win (BENCH_pipeline.json showed 0.74x at s=256
-  // with 4 workers), so below min_shards_per_worker shards per worker the
-  // pool is never built and the serial step path runs. Bit-identical
-  // results either way — this only changes wall-clock.
+  // Pool-size guard: below min_shards_per_worker shards per worker the
+  // pool is never built and every round runs serially. Where it is built,
+  // the per-round gate in StepRound still decides round by round whether
+  // a fan-out pays. Bit-identical results either way — this only changes
+  // wall-clock.
   if (config.worker_threads > 1 &&
       config.shards / config.worker_threads >= config.min_shards_per_worker) {
     pool_ = std::make_unique<ThreadPool>(config.worker_threads);
@@ -189,12 +205,21 @@ void Simulation::Generate(Round round) {
 void Simulation::StepRound(Round round, Round generate_round) {
   auto mark = Clock::now();
   scheduler_->BeginRound(round);
+  // The per-round gate: fan out only when the work taken off this thread
+  // (all but one worker's share of the deterministic work count) pays for
+  // waking the pool.
+  bool pooled = pool_ && pool_every_round_;
+  if (pool_ && !pooled) {
+    const std::uint64_t work = scheduler_->RoundWork(round);
+    pooled = work - work / pool_->thread_count() >= kMinOffloadedWork;
+  }
   phase_times_.begin += SecondsSince(mark);
 
   mark = Clock::now();
   const ShardId shards = scheduler_->shard_count();
   Scheduler* scheduler = scheduler_.get();
-  if (pool_) {
+  if (pooled) {
+    ++pooled_rounds_;
     pool_->ParallelFor(shards, [scheduler, round](std::size_t shard) {
       scheduler->StepShard(static_cast<ShardId>(shard), round);
     });
@@ -205,7 +230,7 @@ void Simulation::StepRound(Round round, Round generate_round) {
   }
   phase_times_.step += SecondsSince(mark);
 
-  if (pool_ && config_.pipeline) {
+  if (pooled && config_.pipeline) {
     // Pipelined epilogue: seal the round's double buffers, drain them
     // destination-partitioned on the pool, and overlap the next round's
     // adversary generation on this thread (it touches only adversary

@@ -9,14 +9,15 @@
 //   2. each is registered with the ledger and injected at its home shard;
 //   3. the scheduler executes one round: BeginRound (serial), StepShard for
 //      every shard — fanned out across the persistent worker pool when
-//      SimConfig::worker_threads > 1, serial otherwise, with bit-identical
+//      SimConfig::worker_threads > 1 and the round's Scheduler::RoundWork
+//      passes the per-round gate, serial otherwise, with bit-identical
 //      results either way — then the round epilogue;
 //   4. metrics are sampled (pending transactions, leader queues). Sampling
 //      covers every executed round, drain-phase rounds included — the
 //      per-round averages, max_pending and the pending series describe the
 //      same rounds_executed window the result reports.
 //
-// Pipelined epilogue (worker_threads > 1 and SimConfig::pipeline): instead
+// Pipelined epilogue (pooled rounds with SimConfig::pipeline): instead
 // of the serial EndRound, the engine runs the scheduler's
 // SealRound / FlushRoundPartition / FinishRound triple — the flush drains
 // destination-partitioned on the pool while the driving thread generates
@@ -117,13 +118,25 @@ class Simulation {
   /// into the simulation, so it cannot perturb results.
   const PhaseTimes& phase_times() const { return phase_times_; }
 
-  /// Threads actually stepping shards: config worker_threads, unless the
-  /// min_shards_per_worker guard decided the grid is too small for the
-  /// pool, in which case 1 (benches report this next to the configured
-  /// count so threshold fallbacks are visible in the tables).
+  /// Threads stepping shards on pooled rounds: config worker_threads,
+  /// unless the min_shards_per_worker guard decided the grid is too small
+  /// for the pool, in which case 1 (benches report this next to the
+  /// configured count so threshold fallbacks are visible in the tables).
+  /// Which rounds used the pool is pooled_rounds().
   std::uint32_t effective_workers() const {
     return pool_ ? config_.worker_threads : 1;
   }
+
+  /// Rounds Run() fanned out on the pool; the rest ran serially. The
+  /// per-round gate reads only the scheduler's deterministic RoundWork, so
+  /// two runs of one config report the same count.
+  Round pooled_rounds() const { return pooled_rounds_; }
+
+  /// Fan every round out on the pool (when there is one), bypassing the
+  /// per-round gate. Determinism tests and checks call this before Run()
+  /// so small grids, whose rounds never reach the gate, still compare the
+  /// pooled paths against the serial ones. Wall-clock only.
+  void PoolEveryRound() { pool_every_round_ = true; }
 
  private:
   const cluster::Hierarchy& EnsureHierarchy(std::uint32_t top_roots);
@@ -173,6 +186,8 @@ class Simulation {
   std::vector<txn::Transaction> txn_buffer_;
   Round generated_round_ = kNoRound;
   PhaseTimes phase_times_;
+  Round pooled_rounds_ = 0;
+  bool pool_every_round_ = false;
   bool ran_ = false;
 };
 

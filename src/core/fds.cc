@@ -112,6 +112,21 @@ void FdsScheduler::BeginRound(Round round) {
   }
 }
 
+std::uint64_t FdsScheduler::RoundWork(Round round) const {
+  // Messages due and the destinations that vote this round, plus the
+  // transactions each planned coloring may take in: colorings run on many
+  // leader shards at once, and messages alone under-count them.
+  std::uint64_t work =
+      network_.DueCount(round) + protocol_.busy_destinations();
+  for (const std::vector<std::uint32_t>& lane : coloring_work_) {
+    for (const std::uint32_t id : lane) {
+      const ClusterState& state = cluster_state_[id];
+      work += state.incoming.size() + state.active.size();
+    }
+  }
+  return work;
+}
+
 void FdsScheduler::StepShard(ShardId shard, Round round) {
   const OwnershipRegistry::ShardClaim claim(ownership_, shard);
   // Deliver: protocol messages are handled inline; Phase-1 batches land in

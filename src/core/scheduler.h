@@ -89,9 +89,9 @@ inline std::pair<ShardId, ShardId> FlushShardRange(ShardId shards,
 // Call-order contract (the engine, and any conforming driver, guarantees
 // it): per round r the sequence is
 //
-//   Inject* -> BeginRound(r) -> StepShard(shard, r) for every shard
-//           -> { EndRound(r) | SealRound(r) -> FlushRoundPartition* ->
-//                FinishRound(r) }
+//   Inject* -> BeginRound(r) [-> RoundWork(r)] -> StepShard(shard, r)
+//           for every shard -> { EndRound(r) | SealRound(r) ->
+//           FlushRoundPartition* -> FinishRound(r) }
 //
 // with Inject only ever called between rounds (after the previous round's
 // FinishRound/EndRound, before BeginRound). Thread ownership: everything
@@ -136,6 +136,19 @@ class Scheduler {
     (void)parts;
   }
   virtual void FinishRound(Round round) { EndRound(round); }
+
+  /// Deterministic size of this round's splittable StepShard work, in
+  /// roughly per-message units: messages due plus whatever per-shard work
+  /// the round's plan adds. Called serially after BeginRound(round); the
+  /// engine fans the round out across its pool only when the share of this
+  /// work that leaves the driving thread pays for waking the pool. Work
+  /// that sits on one shard and cannot be split must not be counted.
+  /// Wall-clock only — results never depend on it. The default 0 keeps
+  /// every round serial.
+  virtual std::uint64_t RoundWork(Round round) const {
+    (void)round;
+    return 0;
+  }
 
   /// Number of shards this scheduler operates (== StepShard fan-out).
   virtual ShardId shard_count() const = 0;

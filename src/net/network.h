@@ -278,6 +278,30 @@ class Network {
     return due;
   }
 
+  /// Messages due at `shard` in round `now` — what DeliverTo(shard, now)
+  /// would hand out. Serial phases only.
+  std::uint64_t DueCountFor(ShardId shard, Round now) const {
+    const std::vector<std::vector<Envelope>>& ring = rings_[shard];
+    return ring.empty() ? 0 : ring[now % ring.size()].size();
+  }
+
+  /// Messages due across all shards in round `now`: O(s) reads of the due
+  /// ring slots, no envelope is touched. Serial phases only.
+  std::uint64_t DueCount(Round now) const {
+    std::uint64_t due = 0;
+    for (ShardId shard = 0; shard < shard_count_; ++shard) {
+      due += DueCountFor(shard, now);
+    }
+    return due;
+  }
+
+  /// Messages sent and not yet delivered, in O(1) (pending_count() sums
+  /// the per-destination counters instead). Serial phases only.
+  std::uint64_t in_flight() const {
+    return stats_.messages_sent -
+           delivered_total_.load(std::memory_order_relaxed);
+  }
+
   bool HasPending() const { return pending_count() > 0; }
   std::uint64_t pending_count() const {
     std::uint64_t total = 0;

@@ -3,12 +3,15 @@
 // output, and the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/csv.h"
@@ -204,9 +207,7 @@ TEST(ThreadPool, RunsAllTasks) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
+    pool.Dispatch(100, [&counter](std::size_t) { counter.fetch_add(1); });
     pool.Wait();
     EXPECT_EQ(counter.load(), 100);
   }
@@ -221,8 +222,8 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 
 TEST(ThreadPool, InstanceParallelForReusesLivePool) {
   ThreadPool pool(3);
-  // Repeated fan-outs on the same workers, covering both the per-index
-  // path (count <= 8 * threads) and the chunked path (count above it).
+  // Repeated fan-outs on the same workers, covering both one index per
+  // claim (count <= 8 * threads) and multi-index chunks (count above it).
   for (const std::size_t count : {std::size_t{5}, std::size_t{1000}}) {
     std::vector<std::atomic<int>> hits(count);
     pool.ParallelFor(count, [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -236,15 +237,137 @@ TEST(ThreadPool, InstanceParallelForZeroCountIsNoop) {
   pool.ParallelFor(0, [](std::size_t) { FAIL() << "must not run"; });
 }
 
+TEST(ThreadPool, ZeroCountDispatchLeavesNothingToWaitFor) {
+  ThreadPool pool(2);
+  pool.Dispatch(0, [](std::size_t) { FAIL() << "must not run"; });
+  pool.Wait();
+  pool.Wait();  // a second Wait with nothing outstanding returns at once
+  std::atomic<int> counter{0};
+  pool.ParallelFor(3, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
+}
+
 TEST(ThreadPool, WaitIsReusable) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
+  pool.Dispatch(1, [&](std::size_t) { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&] { counter.fetch_add(1); });
+  pool.Dispatch(1, [&](std::size_t) { counter.fetch_add(1); });
   pool.Wait();
   EXPECT_EQ(counter.load(), 2);
+}
+
+TEST(ThreadPool, BackToBackTinyRegionsLoseNoWakeUp) {
+  // 10^5 consecutive one- and few-index fan-outs: a lost wake-up hangs
+  // here, and a worker that reran or skipped a generation shows up as a
+  // wrong total. Tiny bodies keep every worker's wake racing the next
+  // publication.
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<std::uint64_t> hits(3, 0);
+    constexpr int kRegions = 100000;
+    for (int region = 0; region < kRegions; ++region) {
+      const std::size_t count = 1 + static_cast<std::size_t>(region % 3);
+      pool.ParallelFor(count, [&hits](std::size_t i) { ++hits[i]; });
+    }
+    // Index 0 runs in every region, index 1 in two of three, index 2 in one.
+    EXPECT_EQ(hits[0], static_cast<std::uint64_t>(kRegions)) << threads;
+    EXPECT_EQ(hits[1], static_cast<std::uint64_t>(kRegions - kRegions / 3 -
+                                                  (kRegions % 3 > 0)))
+        << threads;
+    EXPECT_EQ(hits[2], static_cast<std::uint64_t>(kRegions / 3)) << threads;
+  }
+}
+
+TEST(ThreadPool, DispatchOverlapsDrivingThreadWork) {
+  ThreadPool pool(2);
+  for (int region = 0; region < 1000; ++region) {
+    std::vector<int> out(4, 0);
+    pool.Dispatch(out.size(), [&out](std::size_t i) {
+      out[i] = static_cast<int>(i) + 1;
+    });
+    // Work on the driving thread while the partitions run: it touches
+    // nothing the tasks write.
+    int local = 0;
+    for (int i = 0; i < 64; ++i) local += i;
+    EXPECT_EQ(local, 2016);
+    pool.Wait();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], static_cast<int>(i) + 1);
+    }
+  }
+}
+
+TEST(ThreadPool, DispatchKeepsItsOwnCopyOfTheBody) {
+  ThreadPool pool(2);
+  std::atomic<int> sum{0};
+  {
+    // The callable goes out of scope before Wait: the pool's copy runs.
+    const int offset = 10;
+    auto body = [&sum, offset](std::size_t i) {
+      sum.fetch_add(offset + static_cast<int>(i));
+    };
+    pool.Dispatch(3, body);
+  }
+  pool.Wait();
+  EXPECT_EQ(sum.load(), 33);
+}
+
+TEST(ThreadPool, DestroyWhileWorkersParked) {
+  // Workers that never saw a job, and workers parked after many, must
+  // both stop and join.
+  for (int i = 0; i < 200; ++i) {
+    ThreadPool idle(4);
+  }
+  for (int i = 0; i < 200; ++i) {
+    ThreadPool pool(3);
+    std::atomic<int> counter{0};
+    pool.ParallelFor(7, [&](std::size_t) { counter.fetch_add(1); });
+    EXPECT_EQ(counter.load(), 7);
+  }
+}
+
+TEST(ThreadPool, DestroyRightAfterWait) {
+  for (int i = 0; i < 200; ++i) {
+    std::atomic<int> counter{0};
+    {
+      ThreadPool pool(2);
+      pool.Dispatch(5, [&](std::size_t) { counter.fetch_add(1); });
+      pool.Wait();
+    }
+    EXPECT_EQ(counter.load(), 5);
+  }
+}
+
+TEST(ThreadPool, DestroyWithDispatchOutstandingWaitsFirst) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool pool(2);
+    pool.Dispatch(6, [&](std::size_t) { counter.fetch_add(1); });
+  }
+  EXPECT_EQ(counter.load(), 6);
+}
+
+TEST(ThreadPool, OnlyPoolThreadsRunTasks) {
+  // The driving thread never joins a fan-out: at most thread_count()
+  // distinct threads run tasks, and the driver is not among them.
+  ThreadPool pool(2);
+  const std::thread::id driver = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(512);
+  for (int region = 0; region < 50; ++region) {
+    pool.ParallelFor(ran_on.size(), [&ran_on](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+    std::vector<std::thread::id> distinct;
+    for (const std::thread::id id : ran_on) {
+      ASSERT_NE(id, driver);
+      if (std::find(distinct.begin(), distinct.end(), id) == distinct.end()) {
+        distinct.push_back(id);
+      }
+    }
+    ASSERT_LE(distinct.size(), pool.thread_count());
+  }
 }
 
 TEST(Mix64, DistinctInputsMix) {

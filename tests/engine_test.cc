@@ -88,7 +88,8 @@ TEST(Engine, SmallGridThresholdFallsBackToSerial) {
   // s = 16 sits far below the default min_shards_per_worker = 128, so a
   // worker_threads = 4 config must silently serialize — visible through
   // effective_workers() — and produce exactly the serial results. Forcing
-  // the threshold down to 1 turns the pool back on; results stay
+  // the threshold down to 1 turns the pool back on (and PoolEveryRound
+  // fans out every round past the per-round gate); results stay
   // bit-identical either way.
   SimConfig config = SmallConfig("fds");
   config.rounds = 200;
@@ -97,12 +98,16 @@ TEST(Engine, SmallGridThresholdFallsBackToSerial) {
 
   Simulation fallback(config);  // default threshold: pool skipped
   EXPECT_EQ(fallback.effective_workers(), 1u);
+  fallback.PoolEveryRound();  // no pool, so nothing to fan out
   const auto fallback_result = fallback.Run();
+  EXPECT_EQ(fallback.pooled_rounds(), 0u);
 
   config.min_shards_per_worker = 1;
   Simulation pooled(config);
   EXPECT_EQ(pooled.effective_workers(), 4u);
+  pooled.PoolEveryRound();
   const auto pooled_result = pooled.Run();
+  EXPECT_EQ(pooled.pooled_rounds(), pooled_result.rounds_executed);
 
   config.worker_threads = 1;
   Simulation serial(config);

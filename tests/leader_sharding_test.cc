@@ -34,6 +34,7 @@ SimResult RunWith(SimConfig config, std::uint32_t workers, bool pipeline) {
   config.pipeline = pipeline;
   config.min_shards_per_worker = 1;  // pool on even for the small grid
   Simulation sim(config);
+  sim.PoolEveryRound();  // and on every round, below the per-round gate
   return sim.Run();
 }
 

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/engine.h"
 #include "sim_test_util.h"
@@ -29,10 +30,12 @@ SimResult RunPipelined(SimConfig config, std::uint32_t workers,
                        bool pipeline) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
-  // Force the pool on: the test grids sit below the small-grid threshold,
-  // and a silently serialized run would not exercise the pipeline at all.
+  // Force the pool on for every round: the test grids sit below the
+  // small-grid threshold and the per-round gate, and a silently
+  // serialized run would not exercise the pipeline at all.
   config.min_shards_per_worker = 1;
   Simulation sim(config);
+  sim.PoolEveryRound();
   return sim.Run();
 }
 
@@ -116,6 +119,7 @@ TEST(ParallelEngine, PipelinedBurstAndDrainIdentical) {
   config.worker_threads = 8;
   config.min_shards_per_worker = 1;
   Simulation sim(config);
+  sim.PoolEveryRound();
   const SimResult result = sim.Run();
   EXPECT_GT(result.injected, 0u);
   ExpectDrainedRunInvariants(sim, result, /*same_round_atomicity=*/false);
@@ -149,6 +153,7 @@ TEST(ParallelEngine, DrainedInvariantsHoldUnderThreads) {
     config.min_shards_per_worker = 1;
     config.rounds = 800;
     Simulation sim(config);
+    sim.PoolEveryRound();
     const auto result = sim.Run();
     EXPECT_GT(result.injected, 0u);
     ExpectDrainedRunInvariants(sim, result,
@@ -200,6 +205,47 @@ TEST(ParallelEngine, LargeScaleLineDeterministicAt1024Shards) {
   EXPECT_GT(serial.injected, 0u);
   EXPECT_TRUE(serial.drained);
   ExpectBitIdenticalResults(serial, parallel);
+}
+
+TEST(ParallelEngine, RoundGateMixesSerialAndPooledRounds) {
+  // Burst then trickle: the burst's ship, coloring and commit rounds carry
+  // enough work to fan out, the trickle rounds run serially. The gate must
+  // pick both kinds within one run, pick them identically on a rerun (it
+  // reads only deterministic work counts), and never move a result bit.
+  SimConfig config = SmallConfig("fds");
+  config.shards = 64;
+  config.accounts = 64;
+  config.strategy = "local";
+  config.local_radius = 4;
+  config.rho = 0.02;
+  config.burstiness = 3000;
+  config.rounds = 400;
+  config.drain_cap = 60000;
+
+  const auto run = [&config](std::uint32_t workers, bool pipeline) {
+    SimConfig copy = config;
+    copy.worker_threads = workers;
+    copy.pipeline = pipeline;
+    copy.min_shards_per_worker = 1;
+    Simulation sim(copy);
+    const SimResult result = sim.Run();
+    return std::make_pair(result, sim.pooled_rounds());
+  };
+
+  const auto [serial, serial_pooled] = run(1, true);
+  EXPECT_EQ(serial_pooled, 0u);  // no pool, nothing to gate
+  EXPECT_GT(serial.injected, 0u);
+  for (const std::uint32_t workers : {2u, 4u}) {
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " pipeline=" + std::to_string(pipeline));
+      const auto [result, pooled] = run(workers, pipeline);
+      ExpectBitIdenticalResults(serial, result);
+      EXPECT_GT(pooled, 0u);
+      EXPECT_LT(pooled, result.rounds_executed);
+      EXPECT_EQ(run(workers, pipeline).second, pooled);
+    }
+  }
 }
 
 TEST(ParallelEngine, OversubscribedPoolStillIdentical) {

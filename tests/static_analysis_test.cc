@@ -8,7 +8,8 @@
 //     wrappers must behave exactly like the std primitives they wrap;
 //   * common::PhaseCapability must be a zero-state no-op at runtime (its
 //     whole point: compile-time phase contracts, no hot-path cost);
-//   * the annotated ThreadPool must still run fan-outs correctly.
+//   * the ThreadPool (atomics only, no annotated mutex) must still run
+//     fan-outs correctly.
 #include <gtest/gtest.h>
 
 #include <atomic>
