@@ -39,10 +39,9 @@
 // destination-partitioned flush overlapped with next-round generation).
 // Runs go through the engine's per-round gate, and each row reports how
 // many rounds it fanned out (pooled_rounds); each cell keeps the fastest
-// of --repeat runs:
+// of 5 runs (1 for the smoke):
 //   build/bench/parallel_rounds --phases [--smoke] [--rounds=300]
-//       [--rho=0.15] [--b=3000] [--radius=8] [--repeat=5]
-//       [--json=BENCH_pipeline.json]
+//       [--rho=0.15] [--b=3000] [--radius=8] [--json=BENCH_pipeline.json]
 //
 // Large-s grid mode (the ROADMAP s = 1024 sweep). Besides the standard
 // cells it appends the diameter_span before/after pair at s = 1024 — "fds"
@@ -139,10 +138,6 @@ TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
                  bool pipeline = true, Fanout fanout = Fanout::kEveryRound) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
-  // This bench measures the pool itself (speedup columns, determinism
-  // checks), so the small-grid threshold must never silently serialize a
-  // "parallel" run: force the pool on whenever workers > 1.
-  config.min_shards_per_worker = 1;
   core::Simulation sim(config);
   if (fanout == Fanout::kEveryRound) sim.PoolEveryRound();
   TimedRun timed;
@@ -477,15 +472,10 @@ int RunPhases(const Flags& flags) {
   const double burst = flags.GetDouble("b", 3000);
   const std::uint64_t seed = flags.GetUint("seed", 42);
   const auto radius = static_cast<Distance>(flags.GetUint("radius", 8));
-  const auto repeat =
-      static_cast<std::uint32_t>(flags.GetUint("repeat", smoke ? 1 : 5));
+  const std::uint32_t repeat = smoke ? 1 : 5;
   const std::string json_path =
       flags.GetString("json", "BENCH_pipeline.json");
   if (!flags.FinishReads()) return 2;
-  if (repeat == 0) {
-    std::fprintf(stderr, "--repeat: must be at least 1\n");
-    return 2;
-  }
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
     std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
@@ -682,9 +672,8 @@ BackpressureRun RunHotDestination(core::SimConfig config,
                                   bool pipeline = true) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
-  config.min_shards_per_worker = 1;  // pool on: the checks compare workers
   core::Simulation sim(config);
-  sim.PoolEveryRound();  // on every round, below the per-round gate too
+  sim.PoolEveryRound();  // the checks compare workers on every round
   BackpressureRun run;
   run.result = sim.Run();
   if (const auto* backpressure =

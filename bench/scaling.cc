@@ -53,9 +53,6 @@ int main(int argc, char** argv) {
       core::SimConfig config =
           bench::LargeGridConfig(cell, rho, burst, rounds, radius);
       config.worker_threads = workers;
-      // --workers is an explicit request here; don't let the small-grid
-      // threshold silently serialize the s = 256 cells.
-      config.min_shards_per_worker = 1;
       configs.push_back(config);
     }
   } else {
@@ -72,7 +69,6 @@ int main(int argc, char** argv) {
         config.burstiness = burst;
         config.rounds = rounds;
         config.worker_threads = workers;
-        config.min_shards_per_worker = 1;  // honor an explicit --workers
         configs.push_back(config);
       }
     }

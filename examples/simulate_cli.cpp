@@ -78,9 +78,10 @@ constexpr const char* kUsage = R"(simulate_cli — StableShard simulation runner
   --workers    threads driving the shard-parallel round loop (default 1;
                any value gives bit-identical results)
   --min-shards-per-worker  build the worker pool only when shards/workers
-               reaches this (default 128; below it the pool's dispatch
-               overhead beats the parallel win and the serial path runs —
-               results are identical either way; must be >= 1)
+               reaches this (default 1: always build it and let the
+               per-round gate decide which rounds fan out; below it every
+               round runs serially — results are identical either way;
+               must be >= 1)
   --wal        persist every commit/abort to the write-ahead log (off by
                default; fault-free runs are bit-identical either way)
   --checkpoint-interval  cut a full-state checkpoint every N protocol

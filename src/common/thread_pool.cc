@@ -32,9 +32,13 @@ void ThreadPool::AwaitCheckout(Job& job) {
   }
 }
 
+void ThreadPool::CheckNotOutstanding() const {
+  SSHARD_CHECK(!outstanding_ && "ThreadPool: Wait before the next fan-out");
+}
+
 void ThreadPool::Publish(std::size_t count, std::size_t chunk,
                          InvokeFn invoke, void* body) {
-  SSHARD_CHECK(!outstanding_ && "ThreadPool: Wait before the next fan-out");
+  CheckNotOutstanding();
   const std::uint32_t generation =
       generation_.load(std::memory_order_relaxed) + 1;
   Job& job = SlotFor(generation);

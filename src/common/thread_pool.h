@@ -82,6 +82,9 @@ class ThreadPool {
   template <typename Fn>
   void Dispatch(std::size_t count, Fn fn) {
     if (count == 0) return;
+    // Before the body is replaced: workers of an unwaited fan-out may
+    // still be running the previous one.
+    CheckNotOutstanding();
     dispatched_ = std::move(fn);
     Publish(count, 1, &Invoke<std::function<void(std::size_t)>>,
             &dispatched_);
@@ -128,6 +131,8 @@ class ThreadPool {
   };
 
   Job& SlotFor(std::uint32_t generation) { return jobs_[generation & 1]; }
+  /// Abort when a fan-out is published before Wait ended the previous one.
+  void CheckNotOutstanding() const;
   /// Block until every worker has checked out of `job`.
   static void AwaitCheckout(Job& job);
   void Publish(std::size_t count, std::size_t chunk, InvokeFn invoke,

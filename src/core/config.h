@@ -148,17 +148,16 @@ struct SimConfig {
   /// the serial epilogue either way — the switch exists for the
   /// before/after comparison in bench/parallel_rounds --phases.
   bool pipeline = true;
-  /// Small-grid pool guard: when shards / worker_threads falls below
-  /// this, the engine never builds the worker pool and every round runs
-  /// serially. Where the pool exists, the engine's per-round gate still
-  /// fans out only the rounds whose Scheduler::RoundWork pays for the
-  /// wake-ups (see docs/ARCHITECTURE.md). Results are bit-identical either
-  /// way (the decomposition is deterministic), so this is purely a
-  /// wall-clock policy. The default keeps s=1024 x 8 workers parallel and
-  /// serializes s=256 x 4. Set to 1 to build the pool on any grid (tests,
-  /// the determinism benches and the repository benchmark do). Must be
-  /// >= 1; CLIs validate via ValidateMinShardsPerWorker and exit 2.
-  std::uint32_t min_shards_per_worker = 128;
+  /// Static pool guard: when shards / worker_threads falls below this,
+  /// the engine never builds the worker pool and every round runs
+  /// serially. The default 1 builds the pool whenever worker_threads > 1
+  /// and leaves the decision to the engine's per-round gate, which fans
+  /// out only the rounds whose Scheduler::RoundWork pays for the wake-ups
+  /// (see docs/ARCHITECTURE.md). Results are bit-identical either way
+  /// (the decomposition is deterministic), so this is purely a wall-clock
+  /// policy. Must be >= 1; CLIs validate via ValidateMinShardsPerWorker
+  /// and exit 2.
+  std::uint32_t min_shards_per_worker = 1;
   /// After `rounds`, keep stepping (without injection) until the scheduler
   /// drains or `drain_cap` extra rounds elapse (0 = no drain phase).
   Round drain_cap = 0;

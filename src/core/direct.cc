@@ -23,6 +23,7 @@ void DirectScheduler::Inject(const txn::Transaction& txn) {
   SSHARD_CHECK(txn.home() < inject_by_home_.size());
   inject_by_home_[txn.home()].push_back(txn);
   ++injected_waiting_;
+  subs_waiting_ += txn.subs().size();
 }
 
 void DirectScheduler::BeginRound(Round round) {
@@ -31,9 +32,12 @@ void DirectScheduler::BeginRound(Round round) {
 }
 
 std::uint64_t DirectScheduler::RoundWork(Round round) const {
-  // Every home ships its own injections; every destination votes.
-  return network_.DueCount(round) + injected_waiting_ +
-         protocol_.busy_destinations();
+  // Each message due and each waiting subtransaction is one 2PC step on a
+  // destination's ordered queue, about three gate units of serial time;
+  // a destination parked on a pinned head does nothing and is not
+  // counted. Measured in docs/ARCHITECTURE.md (per-round pool gate).
+  constexpr std::uint64_t kUnitsPerStep = 3;
+  return kUnitsPerStep * (network_.DueCount(round) + subs_waiting_);
 }
 
 void DirectScheduler::StepShard(ShardId shard, Round round) {
@@ -64,6 +68,7 @@ void DirectScheduler::StepShard(ShardId shard, Round round) {
 void DirectScheduler::EndRound(Round round) {
   ownership_.EndParallelPhase();
   injected_waiting_ = 0;
+  subs_waiting_ = 0;
   outbox_.Flush(network_, round);
   ledger_->FlushRound(round);
 }
@@ -86,6 +91,7 @@ void DirectScheduler::FlushRoundPartition(Round round, std::uint32_t part,
 void DirectScheduler::FinishRound(Round round) {
   ownership_.EndParallelPhase();
   injected_waiting_ = 0;
+  subs_waiting_ = 0;
   outbox_.FinishSealedFlush(network_);
   ledger_->FinishSealedRound(round);
 }

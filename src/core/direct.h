@@ -91,6 +91,8 @@ class DirectScheduler final : public Scheduler {
   /// so concurrent StepShard calls never share one).
   std::vector<std::vector<net::Network<Message>::Envelope>> inbox_;
   std::uint64_t injected_waiting_ = 0;
+  /// Subtransactions of the waiting injections: what StepShard ships.
+  std::uint64_t subs_waiting_ = 0;
 };
 
 }  // namespace stableshard::core

@@ -165,11 +165,11 @@ Simulation::Simulation(const SimConfig& config)
   scheduler_ =
       SchedulerRegistry::Global().Build(config.scheduler, config_, deps);
 
-  // Pool-size guard: below min_shards_per_worker shards per worker the
-  // pool is never built and every round runs serially. Where it is built,
-  // the per-round gate in StepRound still decides round by round whether
-  // a fan-out pays. Bit-identical results either way — this only changes
-  // wall-clock.
+  // Static pool guard: below min_shards_per_worker shards per worker the
+  // pool is never built and every round runs serially. By default it is
+  // built whenever worker_threads > 1, and the per-round gate in
+  // StepRound decides round by round whether a fan-out pays.
+  // Bit-identical results either way — this only changes wall-clock.
   if (config.worker_threads > 1 &&
       config.shards / config.worker_threads >= config.min_shards_per_worker) {
     pool_ = std::make_unique<ThreadPool>(config.worker_threads);

@@ -7,8 +7,16 @@
 namespace stableshard::core {
 
 std::vector<ExperimentRun> RunSweep(const std::vector<SimConfig>& configs,
-                                    std::size_t threads) {
+                                    std::size_t threads,
+                                    bool pool_every_round) {
   std::vector<ExperimentRun> runs(configs.size());
+  const auto run_one = [&](std::size_t i) {
+    runs[i].config = configs[i];
+    Simulation simulation(configs[i]);
+    if (pool_every_round) simulation.PoolEveryRound();
+    runs[i].result = simulation.Run();
+    runs[i].pooled_rounds = simulation.pooled_rounds();
+  };
 
   // Single-level parallelism policy: parallelism lives either *across*
   // configurations (outer pool, each simulation serial) or *inside* each
@@ -23,11 +31,7 @@ std::vector<ExperimentRun> RunSweep(const std::vector<SimConfig>& configs,
       std::any_of(configs.begin(), configs.end(),
                   [](const SimConfig& c) { return c.worker_threads > 1; });
   if (inner_parallel) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      runs[i].config = configs[i];
-      Simulation simulation(configs[i]);
-      runs[i].result = simulation.Run();
-    }
+    for (std::size_t i = 0; i < configs.size(); ++i) run_one(i);
     return runs;
   }
 
@@ -35,11 +39,7 @@ std::vector<ExperimentRun> RunSweep(const std::vector<SimConfig>& configs,
   // instance ParallelFor hands each config its own task (no chunking) while
   // reusing the same workers across the batch.
   ThreadPool pool(threads);
-  pool.ParallelFor(configs.size(), [&](std::size_t i) {
-    runs[i].config = configs[i];
-    Simulation simulation(configs[i]);
-    runs[i].result = simulation.Run();
-  });
+  pool.ParallelFor(configs.size(), run_one);
   return runs;
 }
 

@@ -20,10 +20,16 @@ namespace stableshard::core {
 struct ExperimentRun {
   SimConfig config;
   SimResult result;
+  Round pooled_rounds = 0;  ///< Simulation::pooled_rounds() of the run
 };
 
-/// Run all configs (thread count 0 = hardware concurrency).
+/// Run all configs (thread count 0 = hardware concurrency). With
+/// `pool_every_round` each simulation that has a pool fans out every
+/// round (Simulation::PoolEveryRound), so a determinism test can sweep
+/// small configs that never reach the per-round gate through the pooled
+/// path. Results are the same either way.
 std::vector<ExperimentRun> RunSweep(const std::vector<SimConfig>& configs,
-                                    std::size_t threads = 0);
+                                    std::size_t threads = 0,
+                                    bool pool_every_round = false);
 
 }  // namespace stableshard::core

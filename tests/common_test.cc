@@ -340,6 +340,18 @@ TEST(ThreadPool, DestroyRightAfterWait) {
   }
 }
 
+TEST(ThreadPool, SecondFanOutWithoutWaitAborts) {
+  // The check runs before Dispatch replaces the pool's copy of the body,
+  // which workers of the unwaited fan-out may still be running.
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.Dispatch(4, [](std::size_t) {});
+        pool.Dispatch(4, [](std::size_t) {});
+      },
+      "Wait before the next fan-out");
+}
+
 TEST(ThreadPool, DestroyWithDispatchOutstandingWaitsFirst) {
   std::atomic<int> counter{0};
   {

@@ -59,20 +59,23 @@ TEST(Engine, SweepMatchesSerialRuns) {
 TEST(Engine, SweepWithInnerParallelConfigsMatchesSerialRuns) {
   // Single-level parallelism policy: configs with worker_threads > 1 make
   // RunSweep run them sequentially (no nested pools), and results must
-  // still equal fully serial runs of the same configs.
+  // still equal fully serial runs of the same configs. Every inner round
+  // fans out: s = 16 never reaches the per-round gate.
   std::vector<core::SimConfig> configs;
   for (std::uint64_t seed : {11ull, 12ull}) {
     SimConfig config = SmallConfig("fds");
     config.rounds = 300;
     config.drain_cap = 20000;
     config.worker_threads = 4;
-    config.min_shards_per_worker = 1;  // force the pool despite s = 16
     config.seed = seed;
     configs.push_back(config);
   }
-  const auto sweep = RunSweep(configs, /*threads=*/4);
+  const auto sweep =
+      RunSweep(configs, /*threads=*/4, /*pool_every_round=*/true);
   ASSERT_EQ(sweep.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(sweep[i].pooled_rounds, sweep[i].result.rounds_executed)
+        << "config " << i;
     const auto expected = RunWithWorkers(configs[i], 1);
     EXPECT_EQ(sweep[i].result.injected, expected.injected) << "config " << i;
     EXPECT_EQ(sweep[i].result.committed, expected.committed) << "config " << i;
@@ -85,24 +88,26 @@ TEST(Engine, SweepWithInnerParallelConfigsMatchesSerialRuns) {
 }
 
 TEST(Engine, SmallGridThresholdFallsBackToSerial) {
-  // s = 16 sits far below the default min_shards_per_worker = 128, so a
-  // worker_threads = 4 config must silently serialize — visible through
-  // effective_workers() — and produce exactly the serial results. Forcing
-  // the threshold down to 1 turns the pool back on (and PoolEveryRound
-  // fans out every round past the per-round gate); results stay
-  // bit-identical either way.
+  // s = 16 with 4 workers is 4 shards per worker, below a threshold of 8,
+  // so the config must silently serialize — visible through
+  // effective_workers() — and produce exactly the serial results. The
+  // default threshold 1 turns the pool back on (and PoolEveryRound fans
+  // out every round past the per-round gate); results stay bit-identical
+  // either way.
   SimConfig config = SmallConfig("fds");
   config.rounds = 200;
   config.drain_cap = 20000;
   config.worker_threads = 4;
+  config.min_shards_per_worker = 8;
 
-  Simulation fallback(config);  // default threshold: pool skipped
+  Simulation fallback(config);  // below 8 shards per worker: pool skipped
   EXPECT_EQ(fallback.effective_workers(), 1u);
   fallback.PoolEveryRound();  // no pool, so nothing to fan out
   const auto fallback_result = fallback.Run();
   EXPECT_EQ(fallback.pooled_rounds(), 0u);
 
-  config.min_shards_per_worker = 1;
+  config.min_shards_per_worker = SimConfig{}.min_shards_per_worker;
+  EXPECT_EQ(config.min_shards_per_worker, 1u);
   Simulation pooled(config);
   EXPECT_EQ(pooled.effective_workers(), 4u);
   pooled.PoolEveryRound();

@@ -32,9 +32,8 @@ using test::SmallConfig;
 SimResult RunWith(SimConfig config, std::uint32_t workers, bool pipeline) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
-  config.min_shards_per_worker = 1;  // pool on even for the small grid
   Simulation sim(config);
-  sim.PoolEveryRound();  // and on every round, below the per-round gate
+  sim.PoolEveryRound();  // every round, below the per-round gate too
   return sim.Run();
 }
 

@@ -30,10 +30,8 @@ SimResult RunPipelined(SimConfig config, std::uint32_t workers,
                        bool pipeline) {
   config.worker_threads = workers;
   config.pipeline = pipeline;
-  // Force the pool on for every round: the test grids sit below the
-  // small-grid threshold and the per-round gate, and a silently
-  // serialized run would not exercise the pipeline at all.
-  config.min_shards_per_worker = 1;
+  // Fan out every round: the test grids sit below the per-round gate,
+  // and a silently serialized run would not exercise the pipeline at all.
   Simulation sim(config);
   sim.PoolEveryRound();
   return sim.Run();
@@ -117,7 +115,6 @@ TEST(ParallelEngine, PipelinedBurstAndDrainIdentical) {
   ExpectBitIdenticalResults(serial, pipelined);
 
   config.worker_threads = 8;
-  config.min_shards_per_worker = 1;
   Simulation sim(config);
   sim.PoolEveryRound();
   const SimResult result = sim.Run();
@@ -150,7 +147,6 @@ TEST(ParallelEngine, DrainedInvariantsHoldUnderThreads) {
   for (const char* scheduler : {"bds", "fds"}) {
     SimConfig config = SmallConfig(scheduler);
     config.worker_threads = 4;
-    config.min_shards_per_worker = 1;
     config.rounds = 800;
     Simulation sim(config);
     sim.PoolEveryRound();
@@ -226,7 +222,6 @@ TEST(ParallelEngine, RoundGateMixesSerialAndPooledRounds) {
     SimConfig copy = config;
     copy.worker_threads = workers;
     copy.pipeline = pipeline;
-    copy.min_shards_per_worker = 1;
     Simulation sim(copy);
     const SimResult result = sim.Run();
     return std::make_pair(result, sim.pooled_rounds());

@@ -36,16 +36,13 @@ inline core::SimConfig SmallConfig(const std::string& scheduler) {
   return config;
 }
 
-/// Run `config` once with the given worker-thread count. Forces the pool
-/// on (min_shards_per_worker = 1) and fans out every round
-/// (Simulation::PoolEveryRound): the test grids are far below the
-/// small-grid threshold and their rounds below the per-round gate, and
-/// silently serialized workers would make every worker-count determinism
-/// assertion vacuous.
+/// Run `config` once with the given worker-thread count, fanning out
+/// every round (Simulation::PoolEveryRound): the test grids' rounds sit
+/// below the per-round gate, and silently serialized workers would make
+/// every worker-count determinism assertion vacuous.
 inline core::SimResult RunWithWorkers(core::SimConfig config,
                                       std::uint32_t workers) {
   config.worker_threads = workers;
-  config.min_shards_per_worker = 1;
   core::Simulation sim(config);
   sim.PoolEveryRound();
   return sim.Run();
