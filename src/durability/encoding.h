@@ -90,6 +90,17 @@ class ByteReader {
     return true;
   }
 
+  /// Read a u32 element count and reject it unless that many
+  /// `entry_size`-byte entries fit in the remaining bytes: a count read
+  /// from the medium must never size an allocation on its own.
+  bool ReadCount(std::uint32_t* out, std::size_t entry_size) {
+    std::uint32_t count = 0;
+    if (!ReadU32(&count)) return false;
+    if (count > remaining() / entry_size) return false;
+    *out = count;
+    return true;
+  }
+
   bool Skip(std::size_t count) {
     if (remaining() < count) return false;
     offset_ += count;

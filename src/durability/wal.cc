@@ -9,6 +9,9 @@ namespace stableshard::durability {
 
 namespace {
 
+/// Encoded size of one action: u64 account, u8 kind, i64 amount.
+constexpr std::size_t kActionBytes = 8 + 1 + 8;
+
 void EncodePayload(Blob& out, const WalRecord& record) {
   AppendU8(out, static_cast<std::uint8_t>(record.type));
   AppendU64(out, record.seq);
@@ -43,13 +46,16 @@ bool DecodePayload(const std::uint8_t* data, std::size_t size,
   if (out->type == WalRecordType::kCommit) {
     if (!reader.ReadU64(&out->payload_digest)) return false;
     std::uint32_t n_actions = 0;
-    if (!reader.ReadU32(&n_actions)) return false;
+    if (!reader.ReadCount(&n_actions, kActionBytes)) return false;
     out->actions.reserve(n_actions);
     for (std::uint32_t i = 0; i < n_actions; ++i) {
       chain::Action action;
       std::uint8_t kind = 0;
       if (!reader.ReadU64(&action.account)) return false;
       if (!reader.ReadU8(&kind)) return false;
+      if (kind > static_cast<std::uint8_t>(chain::ActionKind::kSet)) {
+        return false;
+      }
       if (!reader.ReadI64(&action.amount)) return false;
       action.kind = static_cast<chain::ActionKind>(kind);
       out->actions.push_back(action);

@@ -1,5 +1,7 @@
 // Durability subsystem tests: WAL record framing and torn-write semantics,
-// checkpoint sections and their per-shard damage fallback, the liveness
+// hostile counts in both decoders, checkpoint sections and their per-shard
+// damage fallback, the chain-tip check against the WAL prefix, a seeded
+// mutation suite over checkpoint blobs and WAL frames, the liveness
 // state machine, the fault-plan grammar, and the end-to-end crash/recovery
 // (churn) goldens — restored state bit-identical, accounting identity
 // intact, churn commits exactly the fault-free counts, and everything
@@ -7,11 +9,14 @@
 // run the same churn under larger pools (the TSan CI target).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/account_map.h"
+#include "common/rng.h"
 #include "core/commit_ledger.h"
 #include "durability/checkpoint.h"
 #include "durability/encoding.h"
@@ -39,6 +44,38 @@ WalRecord CommitRecord(std::uint64_t seq, TxnId txn, Round round) {
   record.actions = {Deposit(7, 100), {11, chain::ActionKind::kWithdraw, 40}};
   return record;
 }
+
+/// Frame `payload` the way both codecs do (u32 size, u64 FNV-1a), so a
+/// test can hand a decoder a checksum-valid frame of arbitrary content.
+void AppendFrame(Blob& out, const Blob& payload) {
+  AppendU32(out, static_cast<std::uint32_t>(payload.size()));
+  AppendU64(out, Fnv1a(payload.data(), payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+/// [begin, end) byte ranges of the frames in a well-formed WAL lane
+/// (`header_bytes` = 0) or checkpoint blob (`header_bytes` = 20).
+std::vector<std::pair<std::size_t, std::size_t>> FrameSpans(
+    const Blob& bytes, std::size_t header_bytes) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  ByteReader reader(bytes.data(), bytes.size());
+  EXPECT_TRUE(reader.Skip(header_bytes));
+  while (reader.remaining() > 0) {
+    const std::size_t begin = reader.offset();
+    std::uint32_t size = 0;
+    std::uint64_t checksum = 0;
+    if (!reader.ReadU32(&size) || !reader.ReadU64(&checksum) ||
+        !reader.Skip(size)) {
+      ADD_FAILURE() << "malformed frame at byte " << begin;
+      break;
+    }
+    spans.emplace_back(begin, reader.offset());
+  }
+  return spans;
+}
+
+constexpr std::size_t kFrameHeaderBytes = 4 + 8;
+constexpr std::size_t kCheckpointHeaderBytes = 8 + 8 + 4;
 
 TEST(WalRecordTest, CommitAndAbortRoundtrip) {
   Blob wal;
@@ -122,6 +159,44 @@ TEST(WalRecordTest, CorruptChecksumDetected) {
   EXPECT_EQ(reader.Next(&out), WalReader::Status::kCorrupt);
 }
 
+/// A commit payload with one action whose count and kind bytes the caller
+/// picks (the real encoder cannot produce hostile values).
+Blob CommitPayload(std::uint32_t n_actions, std::uint8_t kind) {
+  Blob payload;
+  AppendU8(payload, static_cast<std::uint8_t>(WalRecordType::kCommit));
+  AppendU64(payload, /*seq=*/1);
+  AppendU64(payload, /*txn=*/10);
+  AppendU64(payload, /*round=*/1);
+  AppendU64(payload, /*payload_digest=*/0);
+  AppendU32(payload, n_actions);
+  AppendU64(payload, /*account=*/7);
+  AppendU8(payload, kind);
+  AppendI64(payload, /*amount=*/5);
+  return payload;
+}
+
+TEST(WalRecordTest, HostileCountsAndKindsAreCorrupt) {
+  const auto status_of = [](std::uint32_t n_actions, std::uint8_t kind) {
+    Blob wal;
+    AppendFrame(wal, CommitPayload(n_actions, kind));
+    WalReader reader(wal);
+    WalRecord out;
+    return reader.Next(&out);
+  };
+  const auto deposit = static_cast<std::uint8_t>(chain::ActionKind::kDeposit);
+  EXPECT_EQ(status_of(1, deposit), WalReader::Status::kRecord);
+  // A checksum-valid frame claiming 2^32 - 1 actions used to reach
+  // `reserve` and die with std::bad_alloc.
+  EXPECT_EQ(status_of(0xFFFFFFFFu, deposit), WalReader::Status::kCorrupt);
+  EXPECT_EQ(status_of(2, deposit), WalReader::Status::kCorrupt);
+  // An action kind outside the enum.
+  const auto past_last =
+      static_cast<std::uint8_t>(chain::ActionKind::kSet) + 1;
+  EXPECT_EQ(status_of(1, static_cast<std::uint8_t>(past_last)),
+            WalReader::Status::kCorrupt);
+  EXPECT_EQ(status_of(1, 0xFF), WalReader::Status::kCorrupt);
+}
+
 TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
   // The same staged records persisted through the sealed-partition triple
   // (parts applied out of order) and through PersistAll must produce
@@ -163,57 +238,58 @@ TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
 }
 
 TEST(CheckpointTest, SectionRoundtrip) {
-  std::vector<ShardImage> images(3);
+  std::vector<CheckpointSection> sections(3);
   for (ShardId shard = 0; shard < 3; ++shard) {
-    images[shard].shard = shard;
-    images[shard].wal_seq = 10 + shard;
-    images[shard].last_commit_round = 7;
-    images[shard].default_balance = 1000;
-    images[shard].balances = {{shard, 900}, {shard + 3, 1100}};
-    images[shard].blocks = {{/*txn=*/50 + shard, /*commit_round=*/7,
-                             /*payload_digest=*/0xabcdefULL}};
+    sections[shard].shard = shard;
+    sections[shard].wal_seq = 10 + shard;
+    sections[shard].last_commit_round = 7 + shard;
+    sections[shard].default_balance = 1000 - shard;
+    sections[shard].balances = {{shard, 900}, {shard + 3, -1100}};
+    sections[shard].chain_size = 50 + shard;
+    sections[shard].chain_tip = 0xabcdef0123456789ULL ^ shard;
   }
-  const Blob blob = EncodeCheckpoint(/*round=*/7, images);
+  const Blob blob = EncodeCheckpoint(/*round=*/7, sections);
   EXPECT_EQ(CheckpointRound(blob), 7u);
 
   for (ShardId shard = 0; shard < 3; ++shard) {
-    ShardImage out;
+    CheckpointSection out;
     ASSERT_EQ(DecodeCheckpointShard(blob, shard, &out), SectionStatus::kOk);
     EXPECT_EQ(out.shard, shard);
     EXPECT_EQ(out.wal_seq, 10u + shard);
-    EXPECT_EQ(out.last_commit_round, 7u);
-    EXPECT_EQ(out.balances, images[shard].balances);
-    ASSERT_EQ(out.blocks.size(), 1u);
-    EXPECT_EQ(out.blocks[0].txn, 50u + shard);
+    EXPECT_EQ(out.last_commit_round, 7u + shard);
+    EXPECT_EQ(out.default_balance, 1000 - static_cast<chain::Balance>(shard));
+    EXPECT_EQ(out.balances, sections[shard].balances);
+    EXPECT_EQ(out.chain_size, 50u + shard);
+    EXPECT_EQ(out.chain_tip, 0xabcdef0123456789ULL ^ shard);
   }
 }
 
 TEST(CheckpointTest, LostTrailingPartitionDegradesPerShard) {
-  std::vector<ShardImage> images(3);
+  std::vector<CheckpointSection> sections(3);
   for (ShardId shard = 0; shard < 3; ++shard) {
-    images[shard].shard = shard;
-    images[shard].balances = {{shard, 42}};
+    sections[shard].shard = shard;
+    sections[shard].balances = {{shard, 42}};
   }
-  Blob blob = EncodeCheckpoint(/*round=*/5, images);
+  Blob blob = EncodeCheckpoint(/*round=*/5, sections);
   // Tear off the last shard's section mid-frame: a checkpoint write that
   // died before the trailing partition hit the medium.
   blob.resize(blob.size() - 9);
 
-  ShardImage out;
+  CheckpointSection out;
   EXPECT_EQ(DecodeCheckpointShard(blob, 0, &out), SectionStatus::kOk);
   EXPECT_EQ(DecodeCheckpointShard(blob, 1, &out), SectionStatus::kOk);
   EXPECT_EQ(DecodeCheckpointShard(blob, 2, &out), SectionStatus::kTruncated);
 }
 
 TEST(CheckpointTest, BadMagicAndFlippedSectionAreCorrupt) {
-  std::vector<ShardImage> images(2);
-  images[0].shard = 0;
-  images[1].shard = 1;
-  Blob blob = EncodeCheckpoint(/*round=*/5, images);
+  std::vector<CheckpointSection> sections(2);
+  sections[0].shard = 0;
+  sections[1].shard = 1;
+  Blob blob = EncodeCheckpoint(/*round=*/5, sections);
 
   Blob bad_magic = blob;
   bad_magic[0] ^= 0xff;
-  ShardImage out;
+  CheckpointSection out;
   EXPECT_EQ(DecodeCheckpointShard(bad_magic, 0, &out),
             SectionStatus::kCorrupt);
   EXPECT_EQ(CheckpointRound(bad_magic), kNoRound);
@@ -223,6 +299,27 @@ TEST(CheckpointTest, BadMagicAndFlippedSectionAreCorrupt) {
   EXPECT_EQ(DecodeCheckpointShard(flipped, 1, &out), SectionStatus::kCorrupt);
   // Earlier sections are independently framed and stay readable.
   EXPECT_EQ(DecodeCheckpointShard(flipped, 0, &out), SectionStatus::kOk);
+}
+
+TEST(CheckpointTest, HostileBalanceCountIsCorrupt) {
+  // A section whose checksum is valid but whose n_balances claims far
+  // more entries than the payload holds must be rejected, not reserved.
+  Blob payload;
+  AppendU32(payload, /*shard=*/0);
+  AppendU64(payload, /*wal_seq=*/1);
+  AppendU64(payload, /*last_commit_round=*/1);
+  AppendI64(payload, /*default_balance=*/0);
+  AppendU32(payload, /*n_balances=*/0xFFFFFFFFu);
+  AppendU64(payload, /*chain_size=*/0);
+  AppendU64(payload, /*chain_tip=*/0);
+  Blob blob;
+  AppendU64(blob, kCheckpointMagic);
+  AppendU64(blob, /*round=*/1);
+  AppendU32(blob, /*shard_count=*/1);
+  AppendFrame(blob, payload);
+
+  CheckpointSection out;
+  EXPECT_EQ(DecodeCheckpointShard(blob, 0, &out), SectionStatus::kCorrupt);
 }
 
 TEST(LivenessTest, FullCycleAndCounters) {
@@ -321,10 +418,14 @@ class RecoveryTest : public ::testing::Test {
 
   /// Commit one round's worth of transfers and persist it, serial-path.
   void CommitRound(Round round) {
+    CommitTransfer(round, round % 8, (round + 1) % 8);
+  }
+
+  /// Commit one transfer in `round` and persist it, serial-path.
+  void CommitTransfer(Round round, AccountId from, AccountId to) {
     const auto txn = factory_.MakeTransfer(
-        /*home=*/static_cast<ShardId>(round % 4), /*injected=*/round,
-        /*from=*/round % 8, /*to=*/(round + 1) % 8, /*amount=*/10,
-        /*min_balance=*/0);
+        /*home=*/static_cast<ShardId>(round % 4), /*injected=*/round, from,
+        to, /*amount=*/10, /*min_balance=*/0);
     ledger_.RegisterInjection(txn);
     for (const auto& sub : txn.subs()) {
       ledger_.ApplyConfirmDeferred(txn.id(), sub, /*commit=*/true, round);
@@ -412,6 +513,23 @@ TEST_F(RecoveryTest, TornWalTailReplaysTheConsistentPrefix) {
   EXPECT_EQ(ImageOf(2), once);
 }
 
+TEST_F(RecoveryTest, CheckpointSizeIsIndependentOfHistory) {
+  // Transfers 2r -> 2r+1 (mod 8): every account is materialized by round
+  // 4, so both checkpoints cover the same accounts.
+  const auto commit = [this](Round round) {
+    CommitTransfer(round, (2 * round) % 8, (2 * round + 1) % 8);
+  };
+  for (Round round = 1; round <= 6; ++round) commit(round);
+  const std::uint64_t early = WriteCheckpoint(ledger_, wal_, storage_, 6);
+  const std::size_t early_blocks = ledger_.chains()[1].size();
+  for (Round round = 7; round <= 12; ++round) commit(round);
+  const std::uint64_t late = WriteCheckpoint(ledger_, wal_, storage_, 12);
+  ASSERT_GT(ledger_.chains()[1].size(), early_blocks);
+  // Same materialized accounts, twice the committed blocks: a section
+  // that carried chain bodies would have grown.
+  EXPECT_EQ(late, early);
+}
+
 using RecoveryDeathTest = RecoveryTest;
 
 TEST_F(RecoveryDeathTest, CorruptWalRecordIsUnrecoverable) {
@@ -423,8 +541,190 @@ TEST_F(RecoveryDeathTest, CorruptWalRecordIsUnrecoverable) {
                "unrecoverable corruption");
 }
 
+TEST_F(RecoveryDeathTest, WalLaneShorterThanSectionHorizonIsUnrecoverable) {
+  for (Round round = 1; round <= 8; ++round) CommitRound(round);
+  WriteCheckpoint(ledger_, wal_, storage_, 8);
+  // Cut lane 1 at its last record boundary: a clean end of log, one
+  // commit short of the section's wal_seq, so the rebuilt chain prefix is
+  // one block shorter than the section says.
+  Blob& lane = storage_.wal[1];
+  lane.resize(FrameSpans(lane, 0).back().first);
+  EXPECT_DEATH(RecoverShard(ledger_, 1, storage_),
+               "checkpoint chain tip disagrees with the WAL prefix");
+}
+
+TEST_F(RecoveryDeathTest, SectionTipOrSizeDisagreeingWithWalIsUnrecoverable) {
+  for (Round round = 1; round <= 8; ++round) CommitRound(round);
+  WriteCheckpoint(ledger_, wal_, storage_, 8);
+  // Re-encode the checkpoint with valid checksums but a wrong tip on
+  // shard 2 and a wrong size on shard 3.
+  std::vector<CheckpointSection> sections(4);
+  for (ShardId shard = 0; shard < 4; ++shard) {
+    ASSERT_EQ(DecodeCheckpointShard(storage_.checkpoints.back(), shard,
+                                    &sections[shard]),
+              SectionStatus::kOk);
+  }
+  sections[2].chain_tip ^= 1;
+  sections[3].chain_size += 1;
+  storage_.checkpoints.back() = EncodeCheckpoint(8, sections);
+  const Blob untouched = ImageOf(0);
+  RecoverShard(ledger_, 0, storage_);
+  EXPECT_EQ(ImageOf(0), untouched);
+  EXPECT_DEATH(RecoverShard(ledger_, 2, storage_),
+               "checkpoint chain tip disagrees with the WAL prefix");
+  EXPECT_DEATH(RecoverShard(ledger_, 3, storage_),
+               "checkpoint chain tip disagrees with the WAL prefix");
+}
+
 TEST_F(RecoveryDeathTest, AttachWalTwiceAborts) {
   EXPECT_DEATH(ledger_.AttachWal(&wal_), "already");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation: flips, truncations and cross-blob section splices on
+// checkpoint blobs, and re-checksummed frame mutations on WAL lanes. The
+// decoders must only ever return a status, and with the WAL intact
+// recovery must reproduce the pre-crash image whatever happened to the
+// checkpoints.
+
+using DurabilityMutationTest = RecoveryTest;
+
+constexpr std::uint64_t kMutationSeed = 0x5eed'd00d'0013ULL;
+
+TEST_F(DurabilityMutationTest, CheckpointDamageNeverChangesRecoveredState) {
+  for (Round round = 1; round <= 12; ++round) {
+    CommitRound(round);
+    if (round % 3 == 0) WriteCheckpoint(ledger_, wal_, storage_, round);
+  }
+  std::vector<Blob> oracle;
+  for (ShardId shard = 0; shard < 4; ++shard) oracle.push_back(ImageOf(shard));
+  const std::vector<Blob> pristine = storage_.checkpoints;
+  const std::size_t blobs = pristine.size();
+
+  Rng rng(kMutationSeed);
+  std::array<std::uint64_t, 3> statuses{};  // indexed by SectionStatus
+  std::uint64_t from_checkpoint = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    storage_.checkpoints = pristine;
+    // Splices first, while every blob is still well framed: replace one
+    // section frame with any frame of any pristine blob (another shard's,
+    // an older or newer horizon of the same shard).
+    const std::uint64_t splices = rng() % 3;
+    for (std::uint64_t i = 0; i < splices; ++i) {
+      const Blob& donor = pristine[rng() % blobs];
+      const auto donor_spans = FrameSpans(donor, kCheckpointHeaderBytes);
+      const auto [from_begin, from_end] =
+          donor_spans[rng() % donor_spans.size()];
+      Blob& target = storage_.checkpoints[rng() % blobs];
+      const auto spans = FrameSpans(target, kCheckpointHeaderBytes);
+      const auto [to_begin, to_end] = spans[rng() % spans.size()];
+      Blob spliced(target.begin(), target.begin() + to_begin);
+      spliced.insert(spliced.end(), donor.begin() + from_begin,
+                     donor.begin() + from_end);
+      spliced.insert(spliced.end(), target.begin() + to_end, target.end());
+      target = std::move(spliced);
+    }
+    // Then bit flips and truncations anywhere, header included.
+    const std::uint64_t damages = rng() % 4;
+    for (std::uint64_t i = 0; i < damages; ++i) {
+      Blob& target = storage_.checkpoints[rng() % blobs];
+      if (target.empty()) continue;
+      if (rng() % 2 == 0) {
+        target[rng() % target.size()] ^=
+            static_cast<std::uint8_t>(1 + rng() % 255);
+      } else {
+        target.resize(rng() % target.size());
+      }
+    }
+
+    for (const Blob& blob : storage_.checkpoints) {
+      CheckpointRound(blob);
+      for (ShardId shard = 0; shard < 5; ++shard) {
+        CheckpointSection out;
+        const SectionStatus status = DecodeCheckpointShard(blob, shard, &out);
+        ++statuses[static_cast<std::size_t>(status)];
+        if (status == SectionStatus::kOk) {
+          EXPECT_EQ(out.shard, shard);
+        }
+      }
+    }
+    for (ShardId shard = 0; shard < 4; ++shard) {
+      const RecoveryStats stats = RecoverShard(ledger_, shard, storage_);
+      if (stats.used_checkpoint) ++from_checkpoint;
+      ASSERT_EQ(ImageOf(shard), oracle[shard])
+          << "trial " << trial << " shard " << shard;
+    }
+  }
+  // The seed must reach every outcome, or the test proves nothing.
+  EXPECT_GT(statuses[static_cast<std::size_t>(SectionStatus::kOk)], 0u);
+  EXPECT_GT(statuses[static_cast<std::size_t>(SectionStatus::kCorrupt)], 0u);
+  EXPECT_GT(statuses[static_cast<std::size_t>(SectionStatus::kTruncated)],
+            0u);
+  EXPECT_GT(from_checkpoint, 0u);
+}
+
+TEST_F(DurabilityMutationTest, WalFrameMutationsOnlyYieldStatuses) {
+  for (Round round = 1; round <= 12; ++round) CommitRound(round);
+  const std::vector<Blob> pristine = storage_.wal;
+
+  Rng rng(kMutationSeed);
+  std::array<std::uint64_t, 4> outcomes{};  // indexed by WalReader::Status
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Blob& source = pristine[rng() % pristine.size()];
+    const auto spans = FrameSpans(source, 0);
+    ASSERT_FALSE(spans.empty());
+    const auto [begin, end] = spans[rng() % spans.size()];
+    Blob payload(source.begin() + begin + kFrameHeaderBytes,
+                 source.begin() + end);
+    switch (rng() % 4) {
+      case 0:  // flip one payload byte
+        payload[rng() % payload.size()] ^=
+            static_cast<std::uint8_t>(1 + rng() % 255);
+        break;
+      case 1:  // cut the payload short
+        payload.resize(rng() % payload.size());
+        break;
+      case 2: {  // splice another frame's payload bytes in
+        const auto [other_begin, other_end] = spans[rng() % spans.size()];
+        const std::size_t at = rng() % payload.size();
+        payload.resize(at);
+        payload.insert(payload.end(),
+                       source.begin() + other_begin + kFrameHeaderBytes,
+                       source.begin() + other_end);
+        break;
+      }
+      default: {  // a hostile u32 (count, kind, type) at any offset
+        const std::size_t at = rng() % payload.size();
+        for (std::size_t i = at; i < payload.size() && i < at + 4; ++i) {
+          payload[i] = 0xFF;
+        }
+        break;
+      }
+    }
+    // Re-frame with a valid checksum, so the decoder itself must reject.
+    Blob lane(source.begin(), source.begin() + begin);
+    AppendFrame(lane, payload);
+    lane.insert(lane.end(), source.begin() + end, source.end());
+    // Every few trials also tear the lane, unframed.
+    if (trial % 5 == 0) lane.resize(rng() % (lane.size() + 1));
+
+    WalReader reader(lane);
+    WalRecord record;
+    WalReader::Status status = WalReader::Status::kRecord;
+    for (std::size_t i = 0; i <= spans.size(); ++i) {
+      status = reader.Next(&record);
+      if (status != WalReader::Status::kRecord) break;
+    }
+    ASSERT_NE(status, WalReader::Status::kRecord);
+    EXPECT_LE(reader.offset(), lane.size());
+    ++outcomes[static_cast<std::size_t>(status)];
+  }
+  EXPECT_GT(outcomes[static_cast<std::size_t>(WalReader::Status::kCorrupt)],
+            0u);
+  EXPECT_GT(outcomes[static_cast<std::size_t>(WalReader::Status::kEndOfLog)],
+            0u);
+  EXPECT_GT(outcomes[static_cast<std::size_t>(WalReader::Status::kTornTail)],
+            0u);
 }
 
 }  // namespace
