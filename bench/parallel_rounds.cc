@@ -9,15 +9,16 @@
 //       [--topology=uniform|line|ring] [--rho=0.3] [--b=3000]
 //       [--rounds=1500] [--workers=8] [--k=8] [--seed=42]
 //
-// Determinism check mode (the CI smoke): workers 1 vs 4, pipelined and
-// serial epilogue, every scheduler — including the sharded-leader
-// "bds_sharded" (color_leaders = 4) and multi-root "fds_multiroot"
-// (top_roots = 3) configurations — on small configs; asserts every
-// SimResult bit-identical and exits 0:
+// Determinism check mode (a `perf` ctest entry): workers 1 vs 4, pipelined
+// and unpipelined epilogue, every scheduler — including bds with
+// color_leaders = 4 ("bds_sharded") and fds with top_roots = 3
+// ("fds_multiroot") — on small configs; asserts every SimResult
+// bit-identical and exits 0:
 //   build/bench/parallel_rounds --check
 //
 // Leader-share mode (the single-leader-degeneration before/after, drained):
-// fds vs fds_multiroot on diameter_span; asserts identical committed
+// fds with one top root vs four ("fds_multiroot") on diameter_span;
+// asserts identical committed
 // counts, the busiest top-root leader below 3x the mean root-leader
 // share, and bit-identity across workers/pipeline:
 //   build/bench/parallel_rounds --leadershare [--smoke] [--shards=64]
@@ -35,7 +36,7 @@
 // Phase-timing mode (the pipelined-epilogue before/after record): times
 // generate / inject / BeginRound / StepShard / flush / finish / sample
 // separately and reports each config's serial share, with the pipelined
-// epilogue off ("before": EndRound fully serial) and on ("after":
+// epilogue off ("before": the one-partition EndRound) and on ("after":
 // destination-partitioned flush overlapped with next-round generation).
 // Runs go through the engine's per-round gate, and each row reports how
 // many rounds it fanned out (pooled_rounds); each cell keeps the fastest
@@ -45,10 +46,10 @@
 //
 // Large-s grid mode (the ROADMAP s = 1024 sweep). Besides the standard
 // cells it appends the diameter_span before/after pair at s = 1024 — "fds"
-// (single top root, ~99% of traffic on one leader) vs "fds_multiroot"
-// (8 roots; asserts the busiest root leader < 3x the mean root-leader
-// share and identical committed counts) — and every JSON row carries
-// max_single_leader_queue and the root-leader imbalance:
+// with a single top root (~99% of traffic on one leader) vs 8 roots
+// (reported as "fds_multiroot"; asserts the busiest root leader < 3x the
+// mean root-leader share and identical committed counts) — and every JSON
+// row carries max_single_leader_queue and the root-leader imbalance:
 //   build/bench/parallel_rounds --grid [--rounds=400] [--rho=0.15]
 //       [--b=3000] [--workers=8] [--radius=8] [--json=BENCH_scaling.json]
 //
@@ -110,6 +111,7 @@ namespace {
 using namespace stableshard;
 
 struct TimedRun {
+  std::string scheduler;  ///< Scheduler::name() of the run
   core::SimResult result;
   double seconds = 0;
   net::RingMemory memory_at_start;  ///< after construction, before round 0
@@ -141,6 +143,7 @@ TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
   core::Simulation sim(config);
   if (fanout == Fanout::kEveryRound) sim.PoolEveryRound();
   TimedRun timed;
+  timed.scheduler = sim.scheduler().name();
   timed.memory_at_start = sim.scheduler().NetworkMemory();
   const auto start = std::chrono::steady_clock::now();
   timed.result = sim.Run();
@@ -310,7 +313,7 @@ int RunGrid(const Flags& flags) {
     GridRow row;
     row.shards = config.shards;
     row.topology = net::TopologyName(config.topology);
-    row.scheduler = config.scheduler;
+    row.scheduler = parallel.scheduler;
     row.strategy = config.strategy;
     row.serial_seconds = serial.seconds;
     row.parallel_seconds = parallel.seconds;
@@ -346,7 +349,7 @@ int RunGrid(const Flags& flags) {
   // diameter_span at s = 1024 homes every transaction in a top-layer root
   // cluster. With the classic single-top hierarchy ("fds", the "before"
   // row) the lone root leader sees ~99% of all traffic; the multi-root
-  // hierarchy ("fds_multiroot", the "after" row) hashes the same workload
+  // hierarchy (8 roots, the "after" row) hashes the same workload
   // across the root leaders, and the busiest of them must stay below 3x
   // the mean root-leader share. The fix must not change what commits: at
   // this scale the top-layer epochs outlast the bench window, so both
@@ -355,17 +358,13 @@ int RunGrid(const Flags& flags) {
   std::uint64_t diameter_committed[2] = {0, 0};
   double multiroot_imbalance = 0;
   double before_share = 0, after_share = 0;
-  const struct {
-    const char* scheduler;
-    std::uint32_t roots;
-  } diameter_cells[] = {{"fds", 1}, {"fds_multiroot", 8}};
+  const std::uint32_t diameter_roots[] = {1, 8};
   for (std::size_t i = 0; i < 2; ++i) {
     core::SimConfig config = bench::LargeGridConfig(
-        {net::TopologyKind::kLine, diameter_cells[i].scheduler, 1024}, rho,
-        burst, rounds, radius);
+        {net::TopologyKind::kLine, "fds", 1024}, rho, burst, rounds, radius);
     config.seed = seed;
     config.strategy = "diameter_span";
-    config.fds_top_roots = diameter_cells[i].roots;
+    config.fds_top_roots = diameter_roots[i];
     const GridRow& row = run_cell(config);
     diameter_committed[i] = row.parallel.result.committed;
     if (i == 0) {
@@ -1093,19 +1092,15 @@ int RunCheck(const Flags& flags) {
   const std::uint64_t seed = flags.GetUint("seed", 42);
   if (!flags.FinishReads()) return 2;
 
-  // Small configs, every scheduler: workers 1 (serial epilogue) vs 4 with
-  // the pipelined epilogue on and off must agree bit-for-bit. The sharded
-  // and multi-root modes run with non-trivial fan-outs (their knob = 1
-  // cases are bit-identical to "bds"/"fds" by the goldens in
-  // tests/leader_sharding_test.cc, so checking them here would be
-  // redundant).
+  // Small configs, every scheduler: workers 1 vs 4 with the pipelined
+  // epilogue on and off must agree bit-for-bit. bds and fds also run with
+  // non-trivial leader fan-outs (the sharded-leader and multi-root modes).
   const struct {
     const char* scheduler;
     std::uint32_t color_leaders;
     std::uint32_t top_roots;
-  } cells[] = {{"bds", 1, 1},         {"bds_sharded", 4, 1},
-               {"fds", 1, 1},         {"fds_multiroot", 1, 3},
-               {"direct", 1, 1},      {"backpressure", 1, 1}};
+  } cells[] = {{"bds", 1, 1},    {"bds", 4, 1},    {"fds", 1, 1},
+               {"fds", 1, 3},    {"direct", 1, 1}, {"backpressure", 1, 1}};
   for (const auto& cell : cells) {
     core::SimConfig config;
     config.scheduler = cell.scheduler;
@@ -1129,7 +1124,7 @@ int RunCheck(const Flags& flags) {
     const bool identical = Identical(serial.result, pipelined.result) &&
                            Identical(serial.result, unpipelined.result);
     std::printf("check %-13s: injected=%llu committed=%llu %s\n",
-                cell.scheduler,
+                serial.scheduler.c_str(),
                 static_cast<unsigned long long>(serial.result.injected),
                 static_cast<unsigned long long>(serial.result.committed),
                 identical ? "identical" : "MISMATCH");
@@ -1363,13 +1358,14 @@ int RunFaults(const Flags& flags) {
   return 0;
 }
 
-/// Drained diameter_span head-to-head: classic single-top "fds" vs the
-/// multi-root "fds_multiroot" on the same seed/workload, small enough that
-/// both drain fully. With abort_probability = 0 everything injected
-/// commits, so equal committed counts prove the multi-root redirect loses
-/// and duplicates nothing; the root-leader imbalance bar (< 3x the mean)
-/// is the same acceptance criterion the s = 1024 grid rows enforce,
-/// checked here at ctest-smoke cost.
+/// Drained diameter_span head-to-head: "fds" over the classic single-top
+/// hierarchy vs the multi-root one ("fds_multiroot") on the same
+/// seed/workload, small enough that both drain fully. With
+/// abort_probability = 0 everything injected commits, so equal committed
+/// counts prove the multi-root redirect loses and duplicates nothing; the
+/// root-leader imbalance bar (< 3x the mean) is the same acceptance
+/// criterion the s = 1024 grid rows enforce, checked here at ctest-smoke
+/// cost.
 int RunLeaderShare(const Flags& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const auto shards =
@@ -1412,13 +1408,9 @@ int RunLeaderShare(const Flags& flags) {
   std::uint64_t committed[2] = {0, 0};
   double imbalance[2] = {0, 0};
   TimedRun runs[2];
-  const struct {
-    const char* scheduler;
-    std::uint32_t top_roots;
-  } cells[] = {{"fds", 1}, {"fds_multiroot", 0}};
   for (std::size_t i = 0; i < 2; ++i) {
     core::SimConfig config = base;
-    config.scheduler = cells[i].scheduler;
+    config.scheduler = "fds";
     config.fds_top_roots = i == 0 ? 1 : roots;
     runs[i] = RunOnce(config, 1);
     const core::SimResult& r = runs[i].result;
@@ -1431,7 +1423,7 @@ int RunLeaderShare(const Flags& flags) {
       busiest = std::max(busiest, in);
     }
     std::printf("%14s %6u | %9llu %10llu %8s | %6zu %9.2f%% %9.2fx\n",
-                cells[i].scheduler, config.fds_top_roots,
+                runs[i].scheduler.c_str(), config.fds_top_roots,
                 static_cast<unsigned long long>(r.injected),
                 static_cast<unsigned long long>(r.committed),
                 r.drained ? "yes" : "NO", runs[i].root_leader_in.size(),

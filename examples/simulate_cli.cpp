@@ -23,9 +23,8 @@ using namespace stableshard;
 
 constexpr const char* kUsage = R"(simulate_cli — StableShard simulation runner
 
-  --scheduler  any registered scheduler (backpressure | bds | bds_sharded |
-               fds | fds_multiroot | direct in-tree; default bds — unknown
-               names print the registry)
+  --scheduler  any registered scheduler (backpressure | bds | fds | direct
+               in-tree; default bds — unknown names print the registry)
   --topology   uniform | line | ring | grid | random_geo   (default: uniform
                for bds, line otherwise)
   --hierarchy  shifted | cover               (fds only; default shifted)
@@ -46,15 +45,16 @@ constexpr const char* kUsage = R"(simulate_cli — StableShard simulation runner
   --coloring   greedy | welsh_powell | dsatur (default greedy)
   --pinned     use the conservative pinned commit mode (fds)
   --no-reschedule  disable FDS rescheduling periods
-  --bds-color-leaders  bds_sharded: co-leader shards the epoch's color
-               classes are committed across (default 1 = exactly the
-               legacy single-leader protocol; clamped to the shard count;
-               must be >= 1)
-  --fds-top-roots  fds_multiroot (and the backpressure wrapper): number of
+  --bds-color-leaders  bds: co-leader shards the epoch's color classes
+               are committed across (default 1 = exactly the paper's
+               single-leader protocol; above 1 the scheduler reports itself
+               as bds_sharded; clamped to the shard count; must be >= 1)
+  --fds-top-roots  fds (and the backpressure wrapper): number of
                interchangeable full-membership top-layer root clusters
                diameter-spanning transactions are hashed across
-               (default 1 = the classic single-top hierarchy; clamped to
-               the shard count; must be >= 1)
+               (default 1 = the classic single-top hierarchy; above 1 fds
+               reports itself as fds_multiroot; clamped to the shard
+               count; must be >= 1)
   --bp-high    backpressure scheduler: mark a destination hot when its
                congestion signal — max(round inflow, standing backlog:
                undelivered messages + led-cluster queues) — reaches this

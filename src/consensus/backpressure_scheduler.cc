@@ -98,13 +98,9 @@ void BackpressureScheduler::StepShard(ShardId shard, Round round) {
   inner_->StepShard(shard, round);
 }
 
-void BackpressureScheduler::EndRound(Round round) {
-  inner_->EndRound(round);
-}
-
 // The epilogue trio delegates through the Scheduler interface on purpose:
-// FdsScheduler's overrides carry thread-safety annotations naming its
-// private capabilities, which this wrapper neither holds nor tracks —
+// the MessagingScheduler overrides carry thread-safety annotations naming
+// its protected capabilities, which this wrapper neither holds nor tracks —
 // calling via the unannotated base keeps the wrapper transparent to the
 // analysis (the capabilities are acquired and released inside one
 // inner call chain either way).

@@ -88,14 +88,13 @@ class BackpressureScheduler final : public core::Scheduler {
   /// re-baseline the inflow snapshot, then delegate to FDS.
   void BeginRound(Round round) override;
 
-  // The round body and both epilogues delegate unchanged — admission
+  // The round body and the epilogue triple delegate unchanged — admission
   // control never touches in-round state, which is what keeps the
   // shard-parallel and pipelined paths bit-identical for free.
   std::uint64_t RoundWork(Round round) const override {
     return inner_->RoundWork(round);
   }
   void StepShard(ShardId shard, Round round) override;
-  void EndRound(Round round) override;
   void SealRound(Round round, std::uint32_t parts) override;
   void FlushRoundPartition(Round round, std::uint32_t part,
                            std::uint32_t parts) override;

@@ -10,17 +10,13 @@ namespace stableshard::core {
 
 BdsScheduler::BdsScheduler(const net::ShardMetric& metric,
                            CommitLedger& ledger, const BdsConfig& config)
-    : metric_(&metric),
-      ledger_(&ledger),
+    : MessagingScheduler(metric, ledger),
+      metric_(&metric),
       config_(config),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
       pending_(metric.shard_count()),
       home_(metric.shard_count()),
       co_(metric.shard_count()),
-      dest_pending_(metric.shard_count()),
-      inbox_(metric.shard_count()) {
+      dest_pending_(metric.shard_count()) {
   SSHARD_CHECK(config.color_leaders >= 1 &&
                "bds color_leaders must be positive");
   color_leaders_ = std::min<std::uint32_t>(config.color_leaders,
@@ -166,33 +162,6 @@ void BdsScheduler::StepShard(ShardId shard, Round round) {
       SendSubTxnsForColor(shard, *send_color_);
     }
   }
-}
-
-void BdsScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void BdsScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void BdsScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                       std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void BdsScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
 }
 
 void BdsScheduler::ShipPending(ShardId home) {
@@ -430,24 +399,11 @@ void BdsScheduler::HandleMessage(ShardId shard, ShardId from,
 }
 
 namespace {
-// "bds" is the paper's single-leader Algorithm 1 verbatim (the
-// bds_color_leaders knob is deliberately ignored — the sharded commit path
-// is its own registered mode, so the baseline stays the baseline).
+// "bds": the paper's single-leader Algorithm 1 at the default
+// SimConfig::bds_color_leaders = 1; above 1 the epoch's color classes are
+// committed across that many co-leader shards (reported as "bds_sharded").
 const SchedulerRegistrar kBdsRegistrar{
     "bds", [](const SimConfig& config, SchedulerDeps& deps) {
-      BdsConfig bds;
-      bds.coloring = config.coloring;
-      bds.rotate_leader = config.bds_rotate_leader;
-      return std::unique_ptr<Scheduler>(
-          std::make_unique<BdsScheduler>(deps.metric, deps.ledger, bds));
-    }};
-
-// "bds_sharded": color classes partitioned across
-// SimConfig::bds_color_leaders co-leader shards (1 reduces to the exact
-// legacy path — the bit-identity golden in leader_sharding_test).
-const SchedulerRegistrar kBdsShardedRegistrar{
-    "bds_sharded", [](const SimConfig& config, SchedulerDeps& deps) {
-      SSHARD_CHECK(config.bds_color_leaders >= 1);
       BdsConfig bds;
       bds.coloring = config.coloring;
       bds.rotate_leader = config.bds_rotate_leader;

@@ -36,10 +36,11 @@
 // by the *home* shard, the coloring inbox by the *leader*, schedule/commit
 // residue by the *destination*. BeginRound runs the (serial) epoch
 // transition and snapshots the round's phase action; StepShard drains the
-// shard's deliveries and executes its slice of the phase; EndRound flushes
-// the outbox lanes and the ledger journal. Home shards learn their colors
-// from the leader's ColorAssignMsg (round offset 2) rather than by peeking
-// at leader state, which is what makes Phase 3 shard-local.
+// shard's deliveries and executes its slice of the phase; the shared round
+// epilogue (core/messaging_scheduler.h) flushes the outbox lanes and the
+// ledger journal. Home shards learn their colors from the leader's
+// ColorAssignMsg (round offset 2) rather than by peeking at leader state,
+// which is what makes Phase 3 shard-local.
 //
 // Sharded-leader mode (BdsConfig::color_leaders = L > 1): the epoch leader
 // still receives every pending transaction and colors the conflict graph
@@ -68,15 +69,11 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "core/commit_ledger.h"
 #include "core/messages.h"
-#include "core/ownership.h"
-#include "core/scheduler.h"
+#include "core/messaging_scheduler.h"
 #include "net/metric.h"
-#include "net/network.h"
-#include "net/outbox.h"
 #include "txn/coloring.h"
 
 namespace stableshard::core {
@@ -93,7 +90,7 @@ struct BdsConfig {
   std::uint32_t color_leaders = 1;
 };
 
-class BdsScheduler final : public Scheduler {
+class BdsScheduler final : public MessagingScheduler {
  public:
   BdsScheduler(const net::ShardMetric& metric, CommitLedger& ledger,
                const BdsConfig& config = {});
@@ -102,40 +99,9 @@ class BdsScheduler final : public Scheduler {
   void BeginRound(Round round) override;
   std::uint64_t RoundWork(Round round) const override;
   void StepShard(ShardId shard, Round round) override;
-  void EndRound(Round round) override
-      SSHARD_EXCLUDES(outbox_.sealed_cap, ledger_->journal_cap);
-  void SealRound(Round round, std::uint32_t parts) override
-      SSHARD_ACQUIRE(outbox_.sealed_cap, network_.flush_cap,
-                     ledger_->journal_cap);
-  void FlushRoundPartition(Round round, std::uint32_t part,
-                           std::uint32_t parts) override
-      SSHARD_REQUIRES(outbox_.sealed_cap, network_.flush_cap,
-                      ledger_->journal_cap);
-  void FinishRound(Round round) override
-      SSHARD_RELEASE(outbox_.sealed_cap, network_.flush_cap,
-                     ledger_->journal_cap);
-  ShardId shard_count() const override { return metric_->shard_count(); }
   bool Idle() const override;
-  std::uint64_t MessagesSent() const override {
-    return network_.stats().messages_sent;
-  }
-  std::uint64_t PayloadUnits() const override {
-    return network_.stats().payload_units;
-  }
-  net::RingMemory NetworkMemory() const override {
-    return network_.ring_memory();
-  }
-  net::LaneMemory OutboxMemory() const override {
-    return outbox_.lane_memory();
-  }
-  net::ShardTraffic ShardTrafficFor(ShardId shard) const override {
-    return network_.shard_traffic(shard);
-  }
   common::ArenaMemoryStats ArenaMemory() const override {
     return step_arena_.memory();
-  }
-  std::uint64_t QueueDepth(ShardId shard) const override {
-    return network_.pending_for(shard);
   }
   double LeaderQueueMax() const override;
   const char* name() const override {
@@ -160,7 +126,6 @@ class BdsScheduler final : public Scheduler {
   std::uint32_t last_epoch_colors() const { return num_colors_; }
   std::uint64_t max_epoch_length() const { return max_epoch_length_; }
   std::uint64_t pending_in_queues() const;
-  const net::Network<Message>& network() const { return network_; }
 
  private:
   struct InFlightTxn {
@@ -201,14 +166,7 @@ class BdsScheduler final : public Scheduler {
                      Round round);
 
   const net::ShardMetric* metric_;
-  CommitLedger* ledger_;
   BdsConfig config_;
-  net::Network<Message> network_;
-  net::OutboxSet<Message> outbox_;
-  /// Debug-build shard-ownership checker (see core/ownership.h): StepShard
-  /// claims its shard, FlushRoundPartition its destination range, and the
-  /// shard-owned helpers below guard with SSHARD_OWNED. Empty in Release.
-  OwnershipRegistry ownership_;
 
   // Home-shard injection queues (new transactions awaiting the next epoch).
   std::vector<std::deque<txn::Transaction>> pending_;
@@ -248,11 +206,6 @@ class BdsScheduler final : public Scheduler {
 
   // Destination-shard side: subtransactions received and awaiting confirm.
   std::vector<std::unordered_map<TxnId, txn::SubTransaction>> dest_pending_;
-
-  /// Per-shard delivery buffers: DeliverTo swaps the due ring slot with the
-  /// shard's buffer, recycling envelope capacity across rounds (shard-owned,
-  /// so concurrent StepShard calls never share one).
-  std::vector<std::vector<net::Network<Message>::Envelope>> inbox_;
 };
 
 }  // namespace stableshard::core

@@ -116,16 +116,6 @@ void CommitLedger::ApplyConfirmDeferred(TxnId txn,
   journal_[sub.destination].push_back(JournalEntry{txn, commit});
 }
 
-void CommitLedger::FlushRound(Round round) {
-  for (std::vector<JournalEntry>& shard_journal : journal_) {
-    for (const JournalEntry& entry : shard_journal) {
-      ResolveConfirm(entry.txn, entry.commit, round);
-    }
-    shard_journal.clear();
-  }
-  if (wal_ != nullptr) wal_->PersistAll(round);
-}
-
 void CommitLedger::SealJournal(Round round, std::uint32_t parts) {
   journal_cap.Acquire();  // annotation-only, no runtime effect
   SSHARD_CHECK(parts >= 1);
@@ -138,12 +128,6 @@ void CommitLedger::SealJournal(Round round, std::uint32_t parts) {
 #endif
   if (sealed_journal_.empty()) sealed_journal_.resize(journal_.size());
   journal_.swap(sealed_journal_);
-  sealed_prefix_.resize(sealed_journal_.size());
-  std::uint64_t base = 0;
-  for (std::size_t dest = 0; dest < sealed_journal_.size(); ++dest) {
-    sealed_prefix_[dest] = base;
-    base += sealed_journal_[dest].size();
-  }
   if (completions_.size() < parts) completions_.resize(parts);
   sealed_parts_ = parts;
 }
@@ -157,6 +141,7 @@ void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
   if (wal_ != nullptr) wal_->PersistSealedPartition(part);
   std::vector<Completion>& out = completions_[part];
   out.clear();
+  std::uint64_t base = 0;  // global journal index of entries[0]
   for (std::size_t dest = 0; dest < sealed_journal_.size(); ++dest) {
     const std::vector<JournalEntry>& entries = sealed_journal_[dest];
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -170,18 +155,20 @@ void CommitLedger::ResolveSealedPartition(std::uint32_t part, Round round) {
       SSHARD_CHECK(record.remaining > 0 && "confirm after txn resolved");
       if (!entry.commit) record.any_abort = true;
       if (--record.remaining == 0) {
-        out.push_back(Completion{sealed_prefix_[dest] + i, record.injected,
-                                 !record.any_abort});
+        out.push_back(
+            Completion{base + i, record.injected, !record.any_abort});
       }
     }
+    base += entries.size();
   }
 }
 
 void CommitLedger::FinishSealedRound(Round round) {
   // Merge the partitions' completion buffers (each ascending by journal
   // index) back into global journal order: the latency recorder must see
-  // the exact sequence the serial FlushRound would have produced.
-  std::vector<std::size_t> cursor(sealed_parts_, 0);
+  // the same sequence whatever the partition count.
+  std::vector<std::size_t>& cursor = merge_cursor_;
+  cursor.assign(sealed_parts_, 0);
   for (;;) {
     std::uint32_t best = sealed_parts_;
     std::uint64_t best_index = 0;

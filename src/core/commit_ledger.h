@@ -17,22 +17,24 @@
 // counters, latency). The decomposed schedulers instead call
 // ApplyConfirmDeferred from StepShard — it performs only the shard-local
 // half (safe for concurrent calls on distinct destinations) and journals
-// the resolution event — and FlushRound from EndRound, which drains the
-// per-shard journals in shard order so the global bookkeeping stays
-// deterministic regardless of thread scheduling.
+// the resolution event — and the round epilogue drains the journal, so the
+// global bookkeeping stays deterministic regardless of thread scheduling.
 //
-// Pipelined rounds: the journal is double-buffered so the next round's
-// StepShard may keep journaling while pool workers drain the sealed copy.
-// SealJournal swaps the buffers; ResolveSealedPartition applies the
-// remaining-count decrements in parallel; FinishSealedRound folds the
-// counters and latency serially. The parallel stage is partitioned by
-// *transaction id* (txn % parts), NOT by destination: one transaction's
-// subtransactions resolve on several destination shards, so a
-// destination-partitioned drain would race on the shared TxnRecord. With
-// id-residue ownership each record is touched by exactly one worker, in
-// the serial journal-order subsequence, and every completion is tagged
-// with its global journal index so FinishSealedRound can replay the
-// latency recorder in the exact serial order — float accumulation is
+// The epilogue drain is one sealed triple, with one partition for a serial
+// round and one per pool worker for a pooled round. The journal is
+// double-buffered so the next round's StepShard may keep journaling while
+// the sealed copy drains. SealJournal swaps the buffers;
+// ResolveSealedPartition applies the remaining-count decrements (in
+// parallel across partitions); FinishSealedRound folds the counters and
+// latency serially. The resolution is partitioned by *transaction id*
+// (txn % parts), NOT by destination: one transaction's subtransactions
+// resolve on several destination shards, so a destination-partitioned
+// drain would race on the shared TxnRecord. With id-residue ownership each
+// record is touched by exactly one partition, in the journal-order
+// subsequence, and every completion is tagged with its global journal
+// index (destinations in shard order, entries in journal order) so
+// FinishSealedRound can replay the latency recorder in that one global
+// order whatever the partition count — float accumulation is
 // order-sensitive, and the workers-1-vs-N bit-identity contract covers the
 // latency means. The per-destination sealed journals themselves are only
 // read concurrently.
@@ -58,11 +60,12 @@ class CommitLedger {
  public:
   /// Annotation-only capability for the sealed-journal window: SealJournal
   /// acquires it, ResolveSealedPartition requires it, FinishSealedRound
-  /// releases it, and every serial-path mutation (RegisterInjection,
-  /// ApplyConfirm, FlushRound) excludes it — so on clang, mutating the
-  /// ledger inside a Seal..Finish window fails compilation (the class
-  /// comment's "no other ledger mutation may overlap" contract). Public so
-  /// schedulers' annotations can name it; no runtime state.
+  /// releases it, and every other mutation (RegisterInjection,
+  /// ApplyConfirm, ResetShardForRecovery) excludes it — so on clang,
+  /// mutating the ledger inside a Seal..Finish window fails compilation
+  /// (the class comment's "no other ledger mutation may overlap"
+  /// contract). Public so schedulers' annotations can name it; no runtime
+  /// state.
   common::PhaseCapability journal_cap;
 
   CommitLedger(const chain::AccountMap& map, chain::Balance initial_balance);
@@ -70,10 +73,10 @@ class CommitLedger {
   /// Attach a write-ahead log: every ApplyConfirm/ApplyConfirmDeferred
   /// stages a durable record for its destination shard, sealed and
   /// persisted alongside the journal (SealJournal drives wal->Seal,
-  /// ResolveSealedPartition drives the partitioned persist, the serial
-  /// FlushRound drives PersistAll). The manager must cover the same shard
-  /// count and outlive the ledger. Optional — without it the ledger
-  /// behaves exactly as before, bit for bit.
+  /// ResolveSealedPartition drives the partitioned persist,
+  /// FinishSealedRound drives wal->FinishSealedRound). The manager must
+  /// cover the same shard count and outlive the ledger. Optional — without
+  /// it the ledger behaves exactly as before, bit for bit.
   void AttachWal(durability::WalManager* wal);
 
   /// Register a newly injected transaction (latency clock starts; expected
@@ -96,14 +99,9 @@ class CommitLedger {
   /// the commit effects to `sub.destination`'s store/chain (with the same
   /// capacity and stale-state checks) and journals the resolution event.
   /// Safe to call concurrently for distinct destination shards; the global
-  /// bookkeeping happens in FlushRound.
+  /// bookkeeping happens in the sealed-journal triple below.
   void ApplyConfirmDeferred(TxnId txn, const txn::SubTransaction& sub,
                             bool commit, Round round);
-
-  /// Serial: drain the per-shard journals (in shard order) filled by
-  /// ApplyConfirmDeferred during round `round`, updating resolution
-  /// records, counters and latency.
-  void FlushRound(Round round) SSHARD_EXCLUDES(journal_cap);
 
   /// Serial: swap the active journal with the (drained) sealed one and set
   /// up `parts` completion buffers for the partitioned resolution. The next
@@ -196,11 +194,12 @@ class CommitLedger {
   std::vector<Round> last_commit_round_;      // unit-capacity enforcement
   std::vector<std::vector<JournalEntry>> journal_;  // per destination shard
   /// Double buffer of journal_ (swapped by SealJournal; empty outside a
-  /// Seal..Finish window) plus the drain scratch: per-destination global
-  /// index bases and per-partition completion buffers (reused every round).
+  /// Seal..Finish window) plus the drain scratch, reused every round:
+  /// per-partition completion buffers and the per-partition cursors of
+  /// FinishSealedRound's merge.
   std::vector<std::vector<JournalEntry>> sealed_journal_;
-  std::vector<std::uint64_t> sealed_prefix_;
   std::vector<std::vector<Completion>> completions_;
+  std::vector<std::size_t> merge_cursor_;
   std::uint32_t sealed_parts_ = 0;
   std::unordered_map<TxnId, TxnRecord> records_;
   stats::LatencyRecorder latency_;

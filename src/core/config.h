@@ -97,16 +97,18 @@ struct SimConfig {
   /// consensus::BackpressureConfig.
   std::uint64_t backpressure_high = kDefaultBackpressureHigh;
   std::uint64_t backpressure_low = kDefaultBackpressureLow;
-  /// Sharded-leader BDS ("bds_sharded" scheduler): number of co-leader
-  /// shards the epoch leader partitions its color classes across (color c
-  /// -> co-leader c mod L). 1 = the legacy single-leader commit path;
-  /// values above the shard count are clamped. Must be >= 1; CLIs validate
+  /// Sharded-leader BDS (the "bds" scheduler, which reports its name as
+  /// "bds_sharded" above 1): number of co-leader shards the epoch leader
+  /// partitions its color classes across (color c -> co-leader c mod L).
+  /// 1 = the paper's single-leader commit path; values above the shard
+  /// count are clamped. Must be >= 1; CLIs validate
   /// via ValidateBdsColorLeaders and exit 2, the scheduler constructor
   /// re-checks as an aborting invariant.
   std::uint32_t bds_color_leaders = 1;
-  /// Multi-root FDS hierarchy ("fds_multiroot" scheduler, and the hierarchy
-  /// builders): number of interchangeable full-membership top-layer roots
-  /// diameter-spanning transactions hash across. 1 = the classic single-top
+  /// Multi-root FDS hierarchy (the "fds" scheduler, which reports its name
+  /// as "fds_multiroot" above 1, and the backpressure wrapper): number of
+  /// interchangeable full-membership top-layer roots diameter-spanning
+  /// transactions hash across. 1 = the classic single-top
   /// hierarchy; values above the shard count are clamped. Must be >= 1;
   /// CLIs validate via ValidateFdsTopRoots and exit 2, the hierarchy
   /// builder re-checks as an aborting invariant.
@@ -142,8 +144,8 @@ struct SimConfig {
   /// serial). Any value produces bit-identical results — the decomposition
   /// is deterministic by construction (see core/scheduler.h).
   std::uint32_t worker_threads = 1;
-  /// Pipelined round epilogue (worker_threads > 1 only): EndRound's flush
-  /// runs destination-partitioned on the pool while the next round's
+  /// Pipelined round epilogue (worker_threads > 1 only): the epilogue's
+  /// flush runs destination-partitioned on the pool while the next round's
   /// adversary generation overlaps on the driving thread. Bit-identical to
   /// the serial epilogue either way — the switch exists for the
   /// before/after comparison in bench/parallel_rounds --phases.

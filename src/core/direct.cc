@@ -1,6 +1,7 @@
 #include "core/direct.h"
 
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "core/scheduler_registry.h"
@@ -9,14 +10,10 @@ namespace stableshard::core {
 
 DirectScheduler::DirectScheduler(const net::ShardMetric& metric,
                                  CommitLedger& ledger)
-    : ledger_(&ledger),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
+    : MessagingScheduler(metric, ledger),
       protocol_(metric.shard_count(), outbox_, ledger,
                 /*on_decided=*/nullptr),
-      inject_by_home_(metric.shard_count()),
-      inbox_(metric.shard_count()) {}
+      inject_by_home_(metric.shard_count()) {}
 
 void DirectScheduler::Inject(const txn::Transaction& txn) {
   SSHARD_SERIAL_PHASE(ownership_);
@@ -29,6 +26,9 @@ void DirectScheduler::Inject(const txn::Transaction& txn) {
 void DirectScheduler::BeginRound(Round round) {
   (void)round;
   ownership_.BeginStepPhase();
+  // Every waiting injection ships in this round's StepShard fan-out.
+  injected_waiting_ = 0;
+  subs_this_round_ = std::exchange(subs_waiting_, 0);
 }
 
 std::uint64_t DirectScheduler::RoundWork(Round round) const {
@@ -37,7 +37,7 @@ std::uint64_t DirectScheduler::RoundWork(Round round) const {
   // a destination parked on a pinned head does nothing and is not
   // counted. Measured in docs/ARCHITECTURE.md (per-round pool gate).
   constexpr std::uint64_t kUnitsPerStep = 3;
-  return kUnitsPerStep * (network_.DueCount(round) + subs_waiting_);
+  return kUnitsPerStep * (network_.DueCount(round) + subs_this_round_);
 }
 
 void DirectScheduler::StepShard(ShardId shard, Round round) {
@@ -63,37 +63,6 @@ void DirectScheduler::StepShard(ShardId shard, Round round) {
   inject_by_home_[shard].clear();
 
   protocol_.IssueVotesForShard(shard, round);
-}
-
-void DirectScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  injected_waiting_ = 0;
-  subs_waiting_ = 0;
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void DirectScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void DirectScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                          std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void DirectScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  injected_waiting_ = 0;
-  subs_waiting_ = 0;
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
 }
 
 bool DirectScheduler::Idle() const {

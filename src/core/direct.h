@@ -20,20 +20,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "core/commit_ledger.h"
 #include "core/commit_protocol.h"
-#include "core/messages.h"
-#include "core/ownership.h"
-#include "core/scheduler.h"
+#include "core/messaging_scheduler.h"
 #include "net/metric.h"
-#include "net/network.h"
-#include "net/outbox.h"
 
 namespace stableshard::core {
 
-class DirectScheduler final : public Scheduler {
+class DirectScheduler final : public MessagingScheduler {
  public:
   DirectScheduler(const net::ShardMetric& metric, CommitLedger& ledger);
 
@@ -41,58 +36,18 @@ class DirectScheduler final : public Scheduler {
   void BeginRound(Round round) override;
   std::uint64_t RoundWork(Round round) const override;
   void StepShard(ShardId shard, Round round) override;
-  void EndRound(Round round) override
-      SSHARD_EXCLUDES(outbox_.sealed_cap, ledger_->journal_cap);
-  void SealRound(Round round, std::uint32_t parts) override
-      SSHARD_ACQUIRE(outbox_.sealed_cap, network_.flush_cap,
-                     ledger_->journal_cap);
-  void FlushRoundPartition(Round round, std::uint32_t part,
-                           std::uint32_t parts) override
-      SSHARD_REQUIRES(outbox_.sealed_cap, network_.flush_cap,
-                      ledger_->journal_cap);
-  void FinishRound(Round round) override
-      SSHARD_RELEASE(outbox_.sealed_cap, network_.flush_cap,
-                     ledger_->journal_cap);
-  ShardId shard_count() const override {
-    return network_.metric().shard_count();
-  }
   bool Idle() const override;
-  std::uint64_t MessagesSent() const override {
-    return network_.stats().messages_sent;
-  }
-  std::uint64_t PayloadUnits() const override {
-    return network_.stats().payload_units;
-  }
-  net::RingMemory NetworkMemory() const override {
-    return network_.ring_memory();
-  }
-  net::LaneMemory OutboxMemory() const override {
-    return outbox_.lane_memory();
-  }
-  net::ShardTraffic ShardTrafficFor(ShardId shard) const override {
-    return network_.shard_traffic(shard);
-  }
-  std::uint64_t QueueDepth(ShardId shard) const override {
-    return network_.pending_for(shard);
-  }
   const char* name() const override { return "direct"; }
 
  private:
-  CommitLedger* ledger_;
-  net::Network<Message> network_;
-  net::OutboxSet<Message> outbox_;
-  /// Debug-build shard-ownership checker (see core/ownership.h). Empty in
-  /// Release.
-  OwnershipRegistry ownership_;
   CommitProtocol protocol_;
   std::vector<std::vector<txn::Transaction>> inject_by_home_;
-  /// Per-shard delivery buffers: DeliverTo swaps the due ring slot with the
-  /// shard's buffer, recycling envelope capacity across rounds (shard-owned,
-  /// so concurrent StepShard calls never share one).
-  std::vector<std::vector<net::Network<Message>::Envelope>> inbox_;
   std::uint64_t injected_waiting_ = 0;
-  /// Subtransactions of the waiting injections: what StepShard ships.
+  /// Subtransactions of the waiting injections. BeginRound moves the count
+  /// to subs_this_round_: the round's StepShard fan-out ships them all.
   std::uint64_t subs_waiting_ = 0;
+  /// What RoundWork counts: the subtransactions this round ships.
+  std::uint64_t subs_this_round_ = 0;
 };
 
 }  // namespace stableshard::core

@@ -18,8 +18,9 @@
 //      same rounds_executed window the result reports.
 //
 // Pipelined epilogue (pooled rounds with SimConfig::pipeline): instead
-// of the serial EndRound, the engine runs the scheduler's
-// SealRound / FlushRoundPartition / FinishRound triple — the flush drains
+// of EndRound (the scheduler's SealRound / FlushRoundPartition /
+// FinishRound triple with one partition on the driving thread), the engine
+// runs the triple with one partition per worker — the flush drains
 // destination-partitioned on the pool while the driving thread generates
 // the NEXT round's transactions into a reusable buffer (generation touches
 // only adversary state, so the overlap is race-free and invisible to the

@@ -12,13 +12,10 @@ namespace stableshard::core {
 FdsScheduler::FdsScheduler(const net::ShardMetric& metric,
                            const cluster::Hierarchy& hierarchy,
                            CommitLedger& ledger, const FdsConfig& config)
-    : metric_(&metric),
+    : MessagingScheduler(metric, ledger),
+      metric_(&metric),
       hierarchy_(&hierarchy),
-      ledger_(&ledger),
       config_(config),
-      network_(metric),
-      outbox_(metric.shard_count()),
-      ownership_(metric.shard_count()),
       protocol_(metric.shard_count(), outbox_, ledger,
                 [this](TxnId txn, std::uint32_t cluster, bool committed) {
                   OnDecided(txn, cluster, committed);
@@ -29,8 +26,7 @@ FdsScheduler::FdsScheduler(const net::ShardMetric& metric,
       buffered_by_home_(metric.shard_count(), 0),
       coloring_work_(metric.shard_count()),
       step_arenas_(metric.shard_count()),
-      reschedules_by_shard_(metric.shard_count(), 0),
-      inbox_(metric.shard_count()) {
+      reschedules_by_shard_(metric.shard_count(), 0) {
   // Derive the aligned base epoch length E_0 (see header).
   Round e0 = 4;
   for (std::uint32_t layer = 0; layer < hierarchy.layer_count(); ++layer) {
@@ -175,33 +171,6 @@ void FdsScheduler::StepShard(ShardId shard, Round round) {
   protocol_.IssueVotesForShard(shard, round);
 }
 
-void FdsScheduler::EndRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.Flush(network_, round);
-  ledger_->FlushRound(round);
-}
-
-void FdsScheduler::SealRound(Round round, std::uint32_t parts) {
-  ownership_.BeginFlushPhase();
-  outbox_.Seal();
-  network_.flush_cap.Acquire();  // annotation-only, no runtime effect
-  ledger_->SealJournal(round, parts);
-}
-
-void FdsScheduler::FlushRoundPartition(Round round, std::uint32_t part,
-                                       std::uint32_t parts) {
-  const auto [begin, end] = FlushShardRange(shard_count(), part, parts);
-  const OwnershipRegistry::RangeClaim claim(ownership_, begin, end);
-  outbox_.FlushSealedTo(network_, round, begin, end);
-  ledger_->ResolveSealedPartition(part, round);
-}
-
-void FdsScheduler::FinishRound(Round round) {
-  ownership_.EndParallelPhase();
-  outbox_.FinishSealedFlush(network_);
-  ledger_->FinishSealedRound(round);
-}
-
 void FdsScheduler::RunColoring(const cluster::Cluster& cluster,
                                ShardId leader, Round round) {
   SSHARD_OWNED(ownership_, leader);
@@ -314,22 +283,11 @@ FdsConfig FdsConfigFrom(const SimConfig& config) {
   return fds;
 }
 
-// "fds" is the paper's hierarchy verbatim: a single top-layer root (the
-// fds_top_roots knob is deliberately ignored — the multi-root hierarchy is
-// its own registered mode, so the baseline stays the baseline).
+// "fds": the paper's hierarchy at the default SimConfig::fds_top_roots = 1;
+// above 1 the top cover is split into that many interchangeable roots
+// (reported as "fds_multiroot").
 const SchedulerRegistrar kFdsRegistrar{
     "fds", [](const SimConfig& config, SchedulerDeps& deps) {
-      return std::unique_ptr<Scheduler>(std::make_unique<FdsScheduler>(
-          deps.metric, deps.hierarchy(1), deps.ledger,
-          FdsConfigFrom(config)));
-    }};
-
-// "fds_multiroot": the hierarchy's top cover split into
-// SimConfig::fds_top_roots interchangeable roots (1 reduces to the exact
-// single-top hierarchy — the bit-identity golden in leader_sharding_test).
-const SchedulerRegistrar kFdsMultirootRegistrar{
-    "fds_multiroot", [](const SimConfig& config, SchedulerDeps& deps) {
-      SSHARD_CHECK(config.fds_top_roots >= 1);
       return std::unique_ptr<Scheduler>(std::make_unique<FdsScheduler>(
           deps.metric, deps.hierarchy(config.fds_top_roots), deps.ledger,
           FdsConfigFrom(config)));

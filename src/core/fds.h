@@ -54,16 +54,12 @@
 
 #include "cluster/hierarchy.h"
 #include "common/arena.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "core/commit_ledger.h"
 #include "core/commit_protocol.h"
-#include "core/messages.h"
+#include "core/messaging_scheduler.h"
 #include "core/ownership.h"
-#include "core/scheduler.h"
 #include "net/metric.h"
-#include "net/network.h"
-#include "net/outbox.h"
 #include "txn/coloring.h"
 
 namespace stableshard::core {
@@ -79,7 +75,7 @@ struct FdsConfig {
   CommitMode commit_mode = CommitMode::kPipelined;
 };
 
-class FdsScheduler final : public Scheduler {
+class FdsScheduler final : public MessagingScheduler {
  public:
   /// `hierarchy` must outlive the scheduler and be built over `metric`.
   FdsScheduler(const net::ShardMetric& metric,
@@ -90,37 +86,9 @@ class FdsScheduler final : public Scheduler {
   void BeginRound(Round round) override;
   std::uint64_t RoundWork(Round round) const override;
   void StepShard(ShardId shard, Round round) override;
-  void EndRound(Round round) override
-      SSHARD_EXCLUDES(outbox_.sealed_cap, ledger_->journal_cap);
-  void SealRound(Round round, std::uint32_t parts) override
-      SSHARD_ACQUIRE(outbox_.sealed_cap, network_.flush_cap,
-                     ledger_->journal_cap);
-  void FlushRoundPartition(Round round, std::uint32_t part,
-                           std::uint32_t parts) override
-      SSHARD_REQUIRES(outbox_.sealed_cap, network_.flush_cap,
-                      ledger_->journal_cap);
-  void FinishRound(Round round) override
-      SSHARD_RELEASE(outbox_.sealed_cap, network_.flush_cap,
-                     ledger_->journal_cap);
-  ShardId shard_count() const override { return metric_->shard_count(); }
   bool Idle() const override;
   double LeaderQueueMean() const override;
   double LeaderQueueMax() const override;
-  std::uint64_t MessagesSent() const override {
-    return network_.stats().messages_sent;
-  }
-  std::uint64_t PayloadUnits() const override {
-    return network_.stats().payload_units;
-  }
-  net::RingMemory NetworkMemory() const override {
-    return network_.ring_memory();
-  }
-  net::LaneMemory OutboxMemory() const override {
-    return outbox_.lane_memory();
-  }
-  net::ShardTraffic ShardTrafficFor(ShardId shard) const override {
-    return network_.shard_traffic(shard);
-  }
   /// Summed across the per-shard step arenas (serial phases only).
   common::ArenaMemoryStats ArenaMemory() const override {
     common::ArenaMemoryStats stats;
@@ -156,10 +124,6 @@ class FdsScheduler final : public Scheduler {
   std::uint64_t reschedules() const;
   std::uint64_t retracts() const { return protocol_.retracts_sent(); }
   const cluster::Hierarchy& hierarchy() const { return *hierarchy_; }
-  const net::Network<Message>& network() const { return network_; }
-  /// The shard-ownership checker, exposed so wrappers (backpressure) can
-  /// guard their own serial-only state against the same phase machine.
-  const OwnershipRegistry& ownership() const { return ownership_; }
 
  private:
   /// Cluster scheduling state, owned by the cluster's leader shard.
@@ -177,14 +141,7 @@ class FdsScheduler final : public Scheduler {
 
   const net::ShardMetric* metric_;
   const cluster::Hierarchy* hierarchy_;
-  CommitLedger* ledger_;
   FdsConfig config_;
-  net::Network<Message> network_;
-  net::OutboxSet<Message> outbox_;
-  /// Debug-build shard-ownership checker (see core/ownership.h): StepShard
-  /// claims its shard, FlushRoundPartition its destination range, and the
-  /// leader-owned helpers guard with SSHARD_OWNED. Empty in Release.
-  OwnershipRegistry ownership_;
   CommitProtocol protocol_;
 
   Round e0_ = 4;  ///< base (layer-0) epoch length
@@ -213,11 +170,6 @@ class FdsScheduler final : public Scheduler {
   // Per-leader-shard counters (summed by the serial getters).
   std::vector<std::uint64_t> reschedules_by_shard_;
   std::uint64_t used_cluster_count_ = 0;
-
-  /// Per-shard delivery buffers: DeliverTo swaps the due ring slot with the
-  /// shard's buffer, recycling envelope capacity across rounds (shard-owned,
-  /// so concurrent StepShard calls never share one).
-  std::vector<std::vector<net::Network<Message>::Envelope>> inbox_;
 };
 
 }  // namespace stableshard::core

@@ -17,19 +17,10 @@
 //                            implementations must not touch shared mutable
 //                            state here (ledger bookkeeping goes through
 //                            CommitLedger::ApplyConfirmDeferred).
-//   EndRound(round)          serial — flushes outbox lanes into the
-//                            network in shard order and commits the
-//                            ledger's round journal.
+//   the round epilogue       publishes the round's queued sends and ledger
+//                            bookkeeping at the round boundary.
 //
-// The decomposition is deterministic by construction: StepShard bodies are
-// pairwise independent and all cross-shard effects funnel through the
-// shard-ordered flush, so `worker_threads = 1` and `worker_threads = N`
-// produce bit-identical results (asserted by tests/parallel_engine_test).
-// Step(round) is the serial convenience driver for tests and examples.
-//
-// Pipelined epilogue. EndRound is itself a serial bottleneck once StepShard
-// is parallel (Amdahl), so the engine's pooled driver replaces it with the
-// equivalent triple
+// The epilogue is one triple, whether the round ran serially or pooled:
 //
 //   SealRound(round, parts)             serial, cheap — swap the outbox and
 //                                       ledger-journal double buffers.
@@ -46,14 +37,18 @@
 //   FinishRound(round)                  serial epilogue — fold global
 //                                       counters/latency, retire buffers.
 //
-// The triple must leave every observable bit identical to EndRound(round);
-// the default implementations below make Seal/FlushPartition no-ops and
-// FinishRound delegate to EndRound, so a scheduler that never overrides
-// them is still correct (just unpipelined). Between SealRound and
-// FinishRound the engine may run the adversary's next-round generation on
-// the driving thread — scheduler state is not touched during that window,
-// and Inject/BeginRound of the next round happen strictly after
-// FinishRound.
+// EndRound(round) is that triple with a single partition, run on the
+// calling thread; the engine's pooled driver instead fans the partitions
+// out across its workers. The partition count never shows in the results
+// (see FlushShardRange), so `worker_threads = 1` and `worker_threads = N`
+// produce bit-identical results (asserted by tests/parallel_engine_test
+// and `parallel_rounds --check`): StepShard bodies are pairwise
+// independent and all cross-shard effects funnel through the
+// shard-ordered flush. Step(round) is the serial convenience driver for
+// tests and examples. Between SealRound and FinishRound the engine may run
+// the adversary's next-round generation on the driving thread — scheduler
+// state is not touched during that window, and Inject/BeginRound of the
+// next round happen strictly after FinishRound.
 #pragma once
 
 #include <algorithm>
@@ -90,11 +85,12 @@ inline std::pair<ShardId, ShardId> FlushShardRange(ShardId shards,
 // it): per round r the sequence is
 //
 //   Inject* -> BeginRound(r) [-> RoundWork(r)] -> StepShard(shard, r)
-//           for every shard -> { EndRound(r) | SealRound(r) ->
-//           FlushRoundPartition* -> FinishRound(r) }
+//           for every shard -> SealRound(r) -> FlushRoundPartition* ->
+//           FinishRound(r)
 //
-// with Inject only ever called between rounds (after the previous round's
-// FinishRound/EndRound, before BeginRound). Thread ownership: everything
+// (EndRound(r) being the one-partition instance of the epilogue), with
+// Inject only ever called between rounds (after the previous round's
+// FinishRound, before BeginRound). Thread ownership: everything
 // except StepShard and FlushRoundPartition runs on the driving thread;
 // StepShard may run concurrently for distinct shards, FlushRoundPartition
 // for distinct partitions. Determinism obligation: any state a scheduler
@@ -120,22 +116,18 @@ class Scheduler {
   /// exactly once per shard per round, possibly concurrently across shards.
   virtual void StepShard(ShardId shard, Round round) = 0;
 
-  /// Serial epilogue: publish queued sends and ledger bookkeeping.
-  virtual void EndRound(Round round) = 0;
-
-  /// Pipelined epilogue (see the class comment). The defaults degrade to a
-  /// fully serial FinishRound == EndRound, which is always correct.
-  virtual void SealRound(Round round, std::uint32_t parts) {
-    (void)round;
-    (void)parts;
-  }
+  /// The round epilogue (see the class comment).
+  virtual void SealRound(Round round, std::uint32_t parts) = 0;
   virtual void FlushRoundPartition(Round round, std::uint32_t part,
-                                   std::uint32_t parts) {
-    (void)round;
-    (void)part;
-    (void)parts;
+                                   std::uint32_t parts) = 0;
+  virtual void FinishRound(Round round) = 0;
+
+  /// The epilogue on the calling thread: the triple with one partition.
+  void EndRound(Round round) {
+    SealRound(round, 1);
+    FlushRoundPartition(round, 0, 1);
+    FinishRound(round);
   }
-  virtual void FinishRound(Round round) { EndRound(round); }
 
   /// Deterministic size of this round's splittable StepShard work, in
   /// roughly per-message units: messages due plus whatever per-shard work

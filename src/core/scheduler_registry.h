@@ -54,9 +54,9 @@ struct SchedulerDeps {
   CommitLedger& ledger;
   /// Builds (once) and returns the cluster hierarchy configured by
   /// SimConfig::hierarchy with `top_roots` top-layer root clusters; the
-  /// engine owns the result. Builders pass 1 for the classic single-top
-  /// hierarchy or SimConfig::fds_top_roots for the multi-root one; a second
-  /// call with a different count dies (one hierarchy per simulation).
+  /// engine owns the result. In-tree builders pass SimConfig::fds_top_roots
+  /// (1 = the classic single-top hierarchy); a second call with a different
+  /// count dies (one hierarchy per simulation).
   std::function<const cluster::Hierarchy&(std::uint32_t top_roots)> hierarchy;
 };
 

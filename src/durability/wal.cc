@@ -170,12 +170,6 @@ void WalManager::FinishSealedRound() {
   sealed_parts_ = 0;
 }
 
-void WalManager::PersistAll(Round round) {
-  Seal(round, 1);
-  PersistSealedPartition(0);
-  FinishSealedRound();
-}
-
 std::uint64_t WalManager::records_persisted() const {
   std::uint64_t total = 0;
   for (const std::uint64_t count : records_by_shard_) total += count;

@@ -12,14 +12,15 @@
 // round r+1 work begins.
 //
 // Pipelined persistence (the mako rocksdb_persistence shape): the WAL
-// piggybacks on the CommitLedger's sealed-journal window. Seal() swaps the
-// staging lanes into a sealed set while the next round keeps staging;
-// PersistSealedPartition(part) encodes the sealed lanes of the contiguous
-// destination-shard chunk owned by `part` (the same range split as
-// core::FlushShardRange, so persistence overlaps the pooled outbox flush
-// with the identical ownership discipline); FinishSealedRound() walks
-// shards serially, advances each shard's durable sequence number and fires
-// the completion callback. Per-shard sequence numbers are assigned at
+// piggybacks on the CommitLedger's sealed-journal window, which every round
+// epilogue opens (with one partition when the round ran serially). Seal()
+// swaps the staging lanes into a sealed set while the next round keeps
+// staging; PersistSealedPartition(part) encodes the sealed lanes of the
+// contiguous destination-shard chunk owned by `part` (the same range split
+// as core::FlushShardRange, so persistence overlaps the pooled outbox
+// flush with the identical ownership discipline); FinishSealedRound()
+// walks shards serially, advances each shard's durable sequence number and
+// fires the completion callback. Per-shard sequence numbers are assigned at
 // staging time — shard-owned, monotonic from 1 — so "records with
 // seq <= durable_seq(shard) are on disk" is the recovery contract.
 //
@@ -122,8 +123,6 @@ class WalManager {
   /// Serial epilogue: advance durable sequence numbers in shard order,
   /// fire callbacks, retire the sealed lanes.
   void FinishSealedRound();
-  /// Serial path (unpipelined EndRound): Seal + full persist + finish.
-  void PersistAll(Round round);
 
   void set_on_durable(DurableCallback callback) {
     on_durable_ = std::move(callback);

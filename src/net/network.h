@@ -33,9 +33,9 @@
 // keep one inbox buffer per shard for exactly this purpose.
 //
 // Concurrency contract (the shard-parallel round loop relies on it):
-//   * Send may only be called from serial phases (BeginRound/EndRound or
-//     fully single-threaded drivers) — it grows rings lazily, so it is
-//     never safe concurrently with anything;
+//   * Send may only be called from serial phases or fully single-threaded
+//     drivers — it grows rings lazily, so it is never safe concurrently
+//     with anything;
 //   * DeliverTo(shard, round) may run concurrently for *distinct* shards:
 //     it touches only that destination's ring and per-shard counters
 //     (delivered_total_ is a relaxed atomic used for stats only);
@@ -43,7 +43,7 @@
 //     synchronous simulation steps every shard every round, which is what
 //     keeps ring slots empty before reuse (DCHECKed per envelope).
 //
-// Partitioned flush (the pipelined EndRound, see net/outbox.h): Deposit is
+// Partitioned flush (the round epilogue, see net/outbox.h): Deposit is
 // the destination-parallel half of Send — it takes an explicit sequence
 // number and touches only the destination's ring, pending counter and
 // inbound traffic split, so workers owning disjoint destination sets may
@@ -148,7 +148,11 @@ class Network {
   /// Queue `payload` from shard `from` to shard `to` at round `now`.
   /// `payload_units` is the caller-declared logical size (e.g. transaction
   /// count) used for the O(bs) message-size accounting of Section 3.
-  /// Serial phases only — see the concurrency contract above.
+  /// Serial phases only — see the concurrency contract above. The
+  /// schedulers never call it (their sends go through OutboxSet's sealed
+  /// flush, i.e. Deposit + the serial folds); it is the per-envelope
+  /// reference semantics that flush must reproduce, and tests use it as
+  /// the oracle the sealed flush is checked against.
   void Send(ShardId from, ShardId to, Round now, Payload payload,
             std::uint64_t payload_units = 1) SSHARD_EXCLUDES(flush_cap) {
     SSHARD_DCHECK(from < shard_count_);
@@ -183,7 +187,7 @@ class Network {
   /// number. Touches only rings_[to], pending_by_dest_[to] and the inbound
   /// half of shard_traffic_[to], so callers owning disjoint destination
   /// sets may run concurrently. The caller must hand out seq values that
-  /// continue next_seq() in the serial flush order and finish the flush
+  /// continue next_seq() in lane-by-lane send order and finish the flush
   /// with AddSenderTraffic + CommitPartitionedSends before any other
   /// network call.
   void Deposit(ShardId from, ShardId to, Round now, std::uint64_t seq,

@@ -9,28 +9,24 @@
 // order) is bit-identical no matter how StepShard calls were scheduled
 // across threads.
 //
-// Two flush drivers exist:
+// The flush is one sealed triple, Seal / FlushSealedTo / FinishSealedFlush,
+// whether one partition drains the round or several pool workers do. The
+// lanes are *double-buffered*: Seal swaps the active buffer with the
+// (empty) sealed one, so the scheduler's next round may keep appending to
+// fresh lanes while the sealed buffer drains. The drain is partitioned by
+// *destination*: each partition walks every sealed lane in sender order,
+// reconstructs each item's global flush index (lane prefix + position —
+// the seq a per-item Network::Send in lane order would have assigned) and
+// Deposits only the items addressed to its destination range. Each
+// destination's ring is therefore touched by exactly one partition and
+// receives its items in the same per-destination order whatever the
+// partition count — the only order schedulers ever observe.
+// FinishSealedFlush folds the sender-side traffic split and the global
+// counters back serially and retires the sealed lanes.
 //
-//   * Flush(network, now) — the serial classic: walk the active lanes in
-//     shard order and Network::Send every item (single-threaded drivers and
-//     Scheduler::Step).
-//   * the pipelined triple Seal / FlushSealedTo / FinishSealedFlush — the
-//     lanes are *double-buffered*: Seal swaps the active buffer with the
-//     (empty) sealed one, so the scheduler's next round may keep appending
-//     to fresh lanes while pool workers drain the sealed buffer. The drain
-//     is partitioned by *destination*: each worker walks every sealed lane
-//     in sender order, reconstructs each item's global flush index (lane
-//     prefix + position, the seq the serial flush would have assigned) and
-//     Deposits only the items addressed to its destination range. Each
-//     destination's ring is therefore touched by exactly one worker and
-//     receives its items in exactly the serial per-destination order — the
-//     only order schedulers ever observe. FinishSealedFlush folds the
-//     sender-side traffic split and the global counters back serially and
-//     retires the sealed lanes.
-//
-// Lane memory: Flush used to clear() lanes but never release capacity, so
-// one burst round pinned the peak footprint for the rest of the run. Lanes
-// now keep a per-sender decayed high-water mark: each retire decays the
+// Lane memory: clearing lanes without ever releasing capacity would let one
+// burst round pin the peak footprint for the rest of the run, so lanes
+// keep a per-sender decayed high-water mark: each retire decays the
 // mark by 25% (floored by the round's size) and, once a lane's capacity
 // overshoots several times the mark, reallocates it to high-water + 50%
 // headroom — memory decays geometrically after a burst, mirroring the lazy
@@ -62,12 +58,11 @@ template <typename Payload>
 class OutboxSet {
  public:
   /// Annotation-only capability for the sealed-buffer window: Seal
-  /// acquires it, FlushSealedTo requires it, FinishSealedFlush releases
-  /// it, and the serial Flush excludes it — so on clang, running the
-  /// serial flush (which drains the *active* lanes) inside a
-  /// Seal..FinishSealedFlush window fails compilation instead of
-  /// double-draining a round. Public so callers' annotations can name it;
-  /// no runtime state (see common/mutex.h).
+  /// acquires it, FlushSealedTo requires it and FinishSealedFlush releases
+  /// it — so on clang, draining outside a Seal..FinishSealedFlush window or
+  /// sealing twice fails compilation instead of double-draining a round.
+  /// Public so callers' annotations can name it; no runtime state (see
+  /// common/mutex.h).
   common::PhaseCapability sealed_cap;
 
   struct Item {
@@ -90,20 +85,6 @@ class OutboxSet {
     lane.payload_units += payload_units;
   }
 
-  /// Serial: hand every queued item to the network at round `now`, lane by
-  /// lane in shard order, preserving per-lane append order.
-  void Flush(Network<Payload>& network, Round now)
-      SSHARD_EXCLUDES(sealed_cap) {
-    std::vector<Lane>& lanes = buffers_[active_];
-    for (ShardId from = 0; from < lanes.size(); ++from) {
-      for (Item& item : lanes[from].items) {
-        network.Send(from, item.to, now, std::move(item.payload),
-                     item.payload_units);
-      }
-      RetireLane(from, lanes[from]);
-    }
-  }
-
   /// Serial: swap the active buffer with the (drained) sealed one. The
   /// scheduler may keep Sending into the fresh active lanes while pool
   /// workers FlushSealedTo the sealed buffer.
@@ -120,7 +101,7 @@ class OutboxSet {
   /// Partitioned drain of the sealed buffer: deposit every sealed item
   /// addressed to a destination in [dest_begin, dest_end) at round `now`.
   /// Walks all lanes in sender order so each item's global flush index is
-  /// reconstructed exactly as the serial Flush would have assigned it.
+  /// reconstructed exactly as one flush over all destinations assigns it.
   /// Safe to run concurrently for disjoint destination ranges.
   void FlushSealedTo(Network<Payload>& network, Round now, ShardId dest_begin,
                      ShardId dest_end)

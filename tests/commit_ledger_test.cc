@@ -94,60 +94,70 @@ TEST_F(CommitLedgerTest, LatencyRecordedAtLastSub) {
   EXPECT_DOUBLE_EQ(ledger_.latency().average_latency(), 21.0);
 }
 
-TEST_F(CommitLedgerTest, SealedJournalMatchesSerialFlush) {
-  // Two identical deferred-confirm rounds: one drained by the serial
-  // FlushRound, the other by the sealed-journal triple with 3 partitions
-  // applied out of order. Every counter and the (order-sensitive) latency
-  // mean must agree bit-for-bit.
-  CommitLedger serial(map_, 1000);
-  CommitLedger pipelined(map_, 1000);
+/// The round epilogue's journal drain with `parts` partitions, applied
+/// last partition first.
+void DrainJournal(CommitLedger& ledger, Round round, std::uint32_t parts) {
+  ledger.SealJournal(round, parts);
+  for (std::uint32_t part = parts; part-- > 0;) {
+    ledger.ResolveSealedPartition(part, round);
+  }
+  ledger.FinishSealedRound(round);
+}
+
+TEST_F(CommitLedgerTest, PartitionedJournalMatchesOnePartition) {
+  // Two identical deferred-confirm rounds: one drained with a single
+  // partition (what a serial round runs), the other with several
+  // partitions applied out of order. Every counter and the
+  // (order-sensitive) latency mean must agree bit-for-bit.
+  CommitLedger one_part(map_, 1000);
+  CommitLedger partitioned(map_, 1000);
 
   const auto a = factory_.MakeTouch(0, /*injected=*/0, {0, 1, 2});
   const auto b = factory_.MakeTouch(1, /*injected=*/1, {3});
   const auto c = factory_.MakeTouch(2, /*injected=*/1, {1, 3});
-  for (CommitLedger* ledger : {&serial, &pipelined}) {
-    for (const auto* txn : {&a, &b, &c}) {
+  const auto d = factory_.MakeTouch(3, /*injected=*/2, {3});
+  for (CommitLedger* ledger : {&one_part, &partitioned}) {
+    for (const auto* txn : {&a, &b, &c, &d}) {
       ledger->RegisterInjection(*txn);
     }
     // Round 4: a fully commits, b aborts, c resolves only its shard-3 sub
-    // (with an abort vote) — c stays pending into the next round.
+    // (with an abort vote) — c stays pending into round 5 — and d commits
+    // on shard 3, which so far saw only aborts this round.
     for (const auto& sub : a.subs()) {
       ledger->ApplyConfirmDeferred(a.id(), sub, /*commit=*/true, 4);
     }
     ledger->ApplyConfirmDeferred(b.id(), b.subs()[0], /*commit=*/false, 4);
     ledger->ApplyConfirmDeferred(c.id(), c.subs()[1], /*commit=*/false, 4);
+    ledger->ApplyConfirmDeferred(d.id(), d.subs()[0], /*commit=*/true, 4);
   }
-
-  serial.FlushRound(4);
-  pipelined.SealJournal(/*round=*/4, /*parts=*/3);
-  pipelined.ResolveSealedPartition(2, 4);
-  pipelined.ResolveSealedPartition(0, 4);
-  pipelined.ResolveSealedPartition(1, 4);
-  pipelined.FinishSealedRound(4);
+  DrainJournal(one_part, 4, 1);
+  DrainJournal(partitioned, 4, 3);
+  // Completions of one round interleave across the partitions: the merge
+  // must restore journal order before the latency recorder sees them.
+  EXPECT_EQ(one_part.resolved(), 3u);
+  EXPECT_EQ(partitioned.resolved(), 3u);
 
   // Round 5: c's remaining sub arrives and completes the abort.
-  for (CommitLedger* ledger : {&serial, &pipelined}) {
+  for (CommitLedger* ledger : {&one_part, &partitioned}) {
     ledger->ApplyConfirmDeferred(c.id(), c.subs()[0], /*commit=*/false, 5);
   }
-  serial.FlushRound(5);
-  pipelined.SealJournal(/*round=*/5, /*parts=*/2);
-  pipelined.ResolveSealedPartition(1, 5);
-  pipelined.ResolveSealedPartition(0, 5);
-  pipelined.FinishSealedRound(5);
+  DrainJournal(one_part, 5, 1);
+  DrainJournal(partitioned, 5, 2);
 
-  EXPECT_EQ(serial.resolved(), pipelined.resolved());
-  EXPECT_EQ(serial.committed_txns(), pipelined.committed_txns());
-  EXPECT_EQ(serial.aborted_txns(), pipelined.aborted_txns());
-  EXPECT_EQ(serial.pending(), pipelined.pending());
-  EXPECT_EQ(serial.committed_txns(), 1u);
-  EXPECT_EQ(serial.aborted_txns(), 2u);
-  EXPECT_TRUE(pipelined.IsResolved(a.id()));
-  EXPECT_TRUE(pipelined.IsResolved(b.id()));
-  EXPECT_TRUE(pipelined.IsResolved(c.id()));
-  EXPECT_DOUBLE_EQ(serial.latency().average_latency(),
-                   pipelined.latency().average_latency());
-  EXPECT_DOUBLE_EQ(serial.latency().max_latency(),
-                   pipelined.latency().max_latency());
+  EXPECT_EQ(one_part.resolved(), partitioned.resolved());
+  EXPECT_EQ(one_part.committed_txns(), partitioned.committed_txns());
+  EXPECT_EQ(one_part.aborted_txns(), partitioned.aborted_txns());
+  EXPECT_EQ(one_part.pending(), partitioned.pending());
+  EXPECT_EQ(one_part.committed_txns(), 2u);
+  EXPECT_EQ(one_part.aborted_txns(), 2u);
+  for (const auto* txn : {&a, &b, &c, &d}) {
+    EXPECT_TRUE(one_part.IsResolved(txn->id()));
+    EXPECT_TRUE(partitioned.IsResolved(txn->id()));
+  }
+  EXPECT_DOUBLE_EQ(one_part.latency().average_latency(),
+                   partitioned.latency().average_latency());
+  EXPECT_DOUBLE_EQ(one_part.latency().max_latency(),
+                   partitioned.latency().max_latency());
 }
 
 TEST_F(CommitLedgerTest, SealedJournalSupportsMorePartitionsThanEntries) {

@@ -1,16 +1,18 @@
 // Durability subsystem tests: WAL record framing and torn-write semantics,
 // hostile counts in both decoders, checkpoint sections and their per-shard
 // damage fallback, the chain-tip check against the WAL prefix, a seeded
-// mutation suite over checkpoint blobs and WAL frames, the liveness
-// state machine, the fault-plan grammar, and the end-to-end crash/recovery
-// (churn) goldens — restored state bit-identical, accounting identity
-// intact, churn commits exactly the fault-free counts, and everything
-// bit-identical across workers 1/4 x pipeline on/off. The *Hammer suites
-// run the same churn under larger pools (the TSan CI target).
+// mutation suite over checkpoint blobs, WAL frames and fault-plan specs,
+// the liveness state machine, the fault-plan grammar, and the end-to-end
+// crash/recovery (churn) goldens — restored state bit-identical,
+// accounting identity intact, churn commits exactly the fault-free counts,
+// and everything bit-identical across workers 1/4 x pipeline on/off. The
+// *Hammer suites run the same churn under larger pools (the TSan CI
+// target).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,15 +199,15 @@ TEST(WalRecordTest, HostileCountsAndKindsAreCorrupt) {
   EXPECT_EQ(status_of(1, 0xFF), WalReader::Status::kCorrupt);
 }
 
-TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
-  // The same staged records persisted through the sealed-partition triple
-  // (parts applied out of order) and through PersistAll must produce
-  // byte-identical lanes and the same durable sequence numbers.
-  MemoryStorage serial_storage(5);
-  MemoryStorage pipelined_storage(5);
-  WalManager serial(5, &serial_storage);
-  WalManager pipelined(5, &pipelined_storage);
-  for (WalManager* wal : {&serial, &pipelined}) {
+TEST(WalManagerTest, PartitionedPersistMatchesOnePartition) {
+  // The same staged records persisted with one partition (what a serial
+  // round runs) and with three partitions applied out of order must
+  // produce byte-identical lanes and the same durable sequence numbers.
+  MemoryStorage one_part_storage(5);
+  MemoryStorage partitioned_storage(5);
+  WalManager one_part(5, &one_part_storage);
+  WalManager partitioned(5, &partitioned_storage);
+  for (WalManager* wal : {&one_part, &partitioned}) {
     for (ShardId shard = 0; shard < 5; ++shard) {
       wal->StageCommit(shard, /*txn=*/100 + shard, /*round=*/3,
                        /*payload_digest=*/777, {Deposit(shard, 5)});
@@ -214,25 +216,28 @@ TEST(WalManagerTest, PartitionedPersistMatchesSerial) {
   }
 
   std::vector<ShardId> durable_order;
-  pipelined.set_on_durable(
+  partitioned.set_on_durable(
       [&durable_order](ShardId shard, std::uint64_t seq, Round round) {
         durable_order.push_back(shard);
         EXPECT_EQ(round, 3u);
         EXPECT_GE(seq, 1u);
       });
 
-  serial.PersistAll(3);
-  pipelined.Seal(3, /*parts=*/3);
-  pipelined.PersistSealedPartition(2);
-  pipelined.PersistSealedPartition(0);
-  pipelined.PersistSealedPartition(1);
-  pipelined.FinishSealedRound();
+  one_part.Seal(3, /*parts=*/1);
+  one_part.PersistSealedPartition(0);
+  one_part.FinishSealedRound();
+  partitioned.Seal(3, /*parts=*/3);
+  partitioned.PersistSealedPartition(2);
+  partitioned.PersistSealedPartition(0);
+  partitioned.PersistSealedPartition(1);
+  partitioned.FinishSealedRound();
 
   for (ShardId shard = 0; shard < 5; ++shard) {
-    EXPECT_EQ(serial_storage.wal[shard], pipelined_storage.wal[shard]);
-    EXPECT_EQ(serial.durable_seq(shard), pipelined.durable_seq(shard));
+    EXPECT_FALSE(one_part_storage.wal[shard].empty());
+    EXPECT_EQ(one_part_storage.wal[shard], partitioned_storage.wal[shard]);
+    EXPECT_EQ(one_part.durable_seq(shard), partitioned.durable_seq(shard));
   }
-  EXPECT_EQ(serial.records_persisted(), pipelined.records_persisted());
+  EXPECT_EQ(one_part.records_persisted(), partitioned.records_persisted());
   // Callbacks fire serially in shard order whatever the partition order.
   EXPECT_EQ(durable_order, (std::vector<ShardId>{0, 1, 2, 3, 4}));
 }
@@ -416,12 +421,13 @@ class RecoveryTest : public ::testing::Test {
     ledger_.AttachWal(&wal_);
   }
 
-  /// Commit one round's worth of transfers and persist it, serial-path.
+  /// Commit one round's worth of transfers and persist it.
   void CommitRound(Round round) {
     CommitTransfer(round, round % 8, (round + 1) % 8);
   }
 
-  /// Commit one transfer in `round` and persist it, serial-path.
+  /// Commit one transfer in `round` and persist it through the
+  /// one-partition round epilogue.
   void CommitTransfer(Round round, AccountId from, AccountId to) {
     const auto txn = factory_.MakeTransfer(
         /*home=*/static_cast<ShardId>(round % 4), /*injected=*/round, from,
@@ -430,7 +436,9 @@ class RecoveryTest : public ::testing::Test {
     for (const auto& sub : txn.subs()) {
       ledger_.ApplyConfirmDeferred(txn.id(), sub, /*commit=*/true, round);
     }
-    ledger_.FlushRound(round);
+    ledger_.SealJournal(round, /*parts=*/1);
+    ledger_.ResolveSealedPartition(0, round);
+    ledger_.FinishSealedRound(round);
   }
 
   Blob ImageOf(ShardId shard) {
@@ -725,6 +733,67 @@ TEST_F(DurabilityMutationTest, WalFrameMutationsOnlyYieldStatuses) {
             0u);
   EXPECT_GT(outcomes[static_cast<std::size_t>(WalReader::Status::kTornTail)],
             0u);
+}
+
+TEST(FaultPlanMutationTest, MutatedSpecsParseOrReject) {
+  // Seeded flips, truncations and splices of well-formed plans: the parser
+  // must either accept a plan that keeps the grammar's invariants (crash
+  // rounds strictly increasing, down >= 1) or reject it with a reason.
+  const std::vector<std::string> pristine = {
+      "5@50+12,23@110+20", "0@1+1", "3@850+10,11@1250+15",
+      "5@350+12,23@520+18", "7@9+3,7@10+1,2@300+44"};
+  // The grammar's bytes plus a few it does not use, so flips both keep
+  // and break the structure.
+  const std::string alphabet = "0123456789@+,;- x";
+  Rng rng(kMutationSeed);
+  std::uint64_t parsed_events = 0;
+  std::set<std::string> reasons;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string spec = pristine[rng() % pristine.size()];
+    const std::uint64_t edits = 1 + rng() % 3;
+    for (std::uint64_t i = 0; i < edits; ++i) {
+      switch (rng() % 3) {
+        case 0:  // overwrite one byte with a grammar byte or any byte
+          if (spec.empty()) break;
+          spec[rng() % spec.size()] =
+              rng() % 4 == 0 ? static_cast<char>(rng() % 256)
+                             : alphabet[rng() % alphabet.size()];
+          break;
+        case 1:  // truncate
+          spec.resize(rng() % (spec.size() + 1));
+          break;
+        default: {  // splice a slice of any pristine plan in anywhere
+          const std::string& donor = pristine[rng() % pristine.size()];
+          const std::size_t from = rng() % donor.size();
+          const std::size_t length = rng() % (donor.size() - from + 1);
+          spec.insert(rng() % (spec.size() + 1), donor, from, length);
+          break;
+        }
+      }
+    }
+    FaultPlan plan;
+    std::string error;
+    if (ParseFaultPlan(spec, &plan, &error)) {
+      parsed_events += plan.size();
+      for (std::size_t i = 0; i < plan.size(); ++i) {
+        EXPECT_GE(plan.events[i].down_rounds, 1u) << spec;
+        if (i > 0) {
+          EXPECT_GT(plan.events[i].crash_round,
+                    plan.events[i - 1].crash_round)
+              << spec;
+        }
+      }
+    } else {
+      EXPECT_FALSE(error.empty()) << spec;
+      reasons.insert(error);
+    }
+  }
+  // The seed must reach accepted plans and the invariant rejections, or
+  // the test proves nothing.
+  EXPECT_GT(parsed_events, 0u);
+  EXPECT_EQ(reasons.count("down rounds must be >= 1"), 1u);
+  EXPECT_EQ(reasons.count("crash rounds must be strictly increasing"), 1u);
+  EXPECT_GE(reasons.size(), 6u);
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // Goldens for the single-leader degeneration fix (sharded-leader BDS and
 // the multi-root FDS hierarchy).
 //
-// The registrar contract under test: the baseline names "bds"/"fds" ignore
-// the new knobs entirely (the paper's protocols stay the paper's
-// protocols), while "bds_sharded"/"fds_multiroot" consume them — and at
-// knob value 1 each new mode must reduce to the *exact* legacy code path,
-// bit-identical through the registry boundary. With non-trivial fan-outs
-// the sharded BDS must still produce the legacy outcomes (the color-class
-// handoff changes message endpoints, never commit timing), both modes must
-// honour the workers/pipeline determinism contract, and a drained run must
-// satisfy every chain/serializability invariant.
+// "bds" honours SimConfig::bds_color_leaders and "fds" honours
+// SimConfig::fds_top_roots; at the default 1 each is the paper's protocol,
+// above 1 they report themselves as "bds_sharded" / "fds_multiroot". With
+// non-trivial fan-outs the sharded BDS must still produce the single-leader
+// outcomes (the color-class handoff changes message endpoints, never
+// commit timing), both modes must honour the workers/pipeline determinism
+// contract, and a drained run must satisfy every chain/serializability
+// invariant.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -37,45 +36,6 @@ SimResult RunWith(SimConfig config, std::uint32_t workers, bool pipeline) {
   return sim.Run();
 }
 
-TEST(LeaderSharding, ShardedWithOneCoLeaderIsBitIdenticalToLegacyBds) {
-  // color_leaders = 1 (the default) must be the legacy protocol itself,
-  // not a faithful reimplementation: every SimResult field bit-identical,
-  // messages and payload units included.
-  const SimResult legacy = RunWith(SmallConfig("bds"), 1, true);
-  const SimResult sharded = RunWith(SmallConfig("bds_sharded"), 1, true);
-  ExpectBitIdenticalResults(legacy, sharded);
-  EXPECT_EQ(legacy.messages, sharded.messages);
-  EXPECT_EQ(legacy.payload_units, sharded.payload_units);
-}
-
-TEST(LeaderSharding, MultirootWithOneRootIsBitIdenticalToLegacyFds) {
-  // fds_top_roots = 1 (the default) builds the classic single-top
-  // hierarchy, so "fds_multiroot" must reproduce "fds" bit-for-bit.
-  const SimResult legacy = RunWith(SmallConfig("fds"), 1, true);
-  const SimResult multiroot = RunWith(SmallConfig("fds_multiroot"), 1, true);
-  ExpectBitIdenticalResults(legacy, multiroot);
-  EXPECT_EQ(legacy.messages, multiroot.messages);
-  EXPECT_EQ(legacy.payload_units, multiroot.payload_units);
-}
-
-TEST(LeaderSharding, BaselineBdsIgnoresTheKnob) {
-  // "bds" must stay the paper's Algorithm 1 whatever the knob says — a
-  // baseline that silently shards would invalidate every recorded bench.
-  SimConfig knobbed = SmallConfig("bds");
-  knobbed.bds_color_leaders = 4;
-  const SimResult plain = RunWith(SmallConfig("bds"), 1, true);
-  const SimResult with_knob = RunWith(knobbed, 1, true);
-  ExpectBitIdenticalResults(plain, with_knob);
-}
-
-TEST(LeaderSharding, BaselineFdsIgnoresTheKnob) {
-  SimConfig knobbed = SmallConfig("fds");
-  knobbed.fds_top_roots = 3;
-  const SimResult plain = RunWith(SmallConfig("fds"), 1, true);
-  const SimResult with_knob = RunWith(knobbed, 1, true);
-  ExpectBitIdenticalResults(plain, with_knob);
-}
-
 TEST(LeaderSharding, ShardedCommitRoundsMatchLegacyBds) {
   // With L = 4 co-leaders the commit role is sharded but the round
   // timetable is untouched: the color class ships at phase offset 1 and
@@ -84,7 +44,7 @@ TEST(LeaderSharding, ShardedCommitRoundsMatchLegacyBds) {
   // every outcome metric — commit counts, latencies, pending peaks —
   // must equal the legacy run; only message endpoints (and counts, via
   // the extra ColorClassMsg hop) may differ.
-  SimConfig config = SmallConfig("bds_sharded");
+  SimConfig config = SmallConfig("bds");
   config.bds_color_leaders = 4;
   const SimResult legacy = RunWith(SmallConfig("bds"), 1, true);
   const SimResult sharded = RunWith(config, 1, true);
@@ -104,7 +64,7 @@ TEST(LeaderSharding, ShardedCommitRoundsMatchLegacyBds) {
 }
 
 TEST(LeaderSharding, ShardedDrainsWithAllInvariants) {
-  SimConfig config = SmallConfig("bds_sharded");
+  SimConfig config = SmallConfig("bds");
   config.bds_color_leaders = 4;
   Simulation sim(config);
   const SimResult result = sim.Run();
@@ -115,7 +75,7 @@ TEST(LeaderSharding, ShardedDrainsWithAllInvariants) {
 }
 
 TEST(LeaderSharding, MultirootDrainsWithAllInvariants) {
-  SimConfig config = SmallConfig("fds_multiroot");
+  SimConfig config = SmallConfig("fds");
   config.fds_top_roots = 3;
   Simulation sim(config);
   const SimResult result = sim.Run();
@@ -131,7 +91,7 @@ TEST(LeaderSharding, MultirootCommitsWhatLegacyFdsCommits) {
   // coordinates a diameter-spanning transaction, never whether it
   // resolves: both modes drain the identical injected set with no
   // aborts, so the committed totals must agree.
-  SimConfig config = SmallConfig("fds_multiroot");
+  SimConfig config = SmallConfig("fds");
   config.fds_top_roots = 3;
   const SimResult legacy = RunWith(SmallConfig("fds"), 1, true);
   const SimResult multiroot = RunWith(config, 1, true);
@@ -142,7 +102,7 @@ TEST(LeaderSharding, MultirootCommitsWhatLegacyFdsCommits) {
 }
 
 TEST(LeaderSharding, ShardedBitIdenticalAcrossWorkersAndPipeline) {
-  SimConfig config = SmallConfig("bds_sharded");
+  SimConfig config = SmallConfig("bds");
   config.bds_color_leaders = 4;
   const SimResult serial = RunWith(config, 1, true);
   ExpectBitIdenticalResults(serial, RunWith(config, 4, true));
@@ -152,7 +112,7 @@ TEST(LeaderSharding, ShardedBitIdenticalAcrossWorkersAndPipeline) {
 TEST(LeaderSharding, MultirootBitIdenticalAcrossWorkersAndPipeline) {
   for (const std::uint32_t roots : {3u, 4u}) {
     SCOPED_TRACE("roots = " + std::to_string(roots));
-    SimConfig config = SmallConfig("fds_multiroot");
+    SimConfig config = SmallConfig("fds");
     config.fds_top_roots = roots;
     const SimResult serial = RunWith(config, 1, true);
     ExpectBitIdenticalResults(serial, RunWith(config, 4, true));

@@ -9,8 +9,12 @@
 //   - the accounting identity injected == committed + aborted + unresolved;
 //   - liveness: the run drains (unresolved == 0) within the cap;
 //   - differential determinism: worker_threads = 1 and 4 produce
-//     bit-identical SimResult (the scheduler decomposition contract);
-//   - conservation: no workload mints or destroys money (separate test).
+//     bit-identical SimResult (the scheduler decomposition contract).
+// "bds" and "fds" run twice per cell, once at their paper default (one
+// color leader, one top root) and once at a non-trivial fan-out (the
+// sharded-leader and multi-root modes); every other scheduler sees the
+// fan-out knobs only (backpressure composes with the multi-root hierarchy).
+// Conservation (no workload mints or destroys money) is a separate test.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -31,8 +35,8 @@ using core::SimResult;
 using test::ExpectBitIdenticalResults;
 using test::RunWithWorkers;
 
-// BDS (including the sharded-leader "bds_sharded" mode) is specified for
-// the uniform model only (Algorithm 1; its constructor dies on non-uniform
+// BDS (including its sharded-leader mode) is specified for the uniform
+// model only (Algorithm 1; its constructor dies on non-uniform
 // metrics). Every other scheduler must handle both matrix topologies.
 bool SupportsTopology(const std::string& scheduler,
                       net::TopologyKind topology) {
@@ -47,7 +51,7 @@ bool SupportsTopology(const std::string& scheduler,
 // needs s >= k(k+1)/2 = 6 for k = 3.
 SimConfig MatrixConfig(const std::string& scheduler,
                        const std::string& strategy,
-                       net::TopologyKind topology) {
+                       net::TopologyKind topology, bool fan_out = true) {
   SimConfig config;
   config.scheduler = scheduler;
   config.strategy = strategy;
@@ -61,12 +65,19 @@ SimConfig MatrixConfig(const std::string& scheduler,
   config.rounds = 300;
   config.drain_cap = 120000;
   config.seed = 11;
-  // The sharded/multi-root modes reduce to the legacy paths at their
-  // default knob values; pin non-trivial fan-outs so the matrix actually
-  // exercises the co-leader and multi-root code.
-  config.bds_color_leaders = 4;
-  config.fds_top_roots = 3;
+  // Knob value 1 is the paper's protocol; the fan-out values exercise the
+  // co-leader and multi-root code.
+  if (fan_out) {
+    config.bds_color_leaders = 4;
+    config.fds_top_roots = 3;
+  }
   return config;
+}
+
+// Fan-out settings each scheduler runs under (see the file comment).
+std::vector<bool> FanOutsFor(const std::string& scheduler) {
+  if (scheduler == "bds" || scheduler == "fds") return {false, true};
+  return {true};
 }
 
 // One golden trace per topology: a closed-loop uniform_random run whose
@@ -101,36 +112,39 @@ TEST(Matrix, SchedulerStrategyTopologyCrossProduct) {
          {net::TopologyKind::kUniform, net::TopologyKind::kLine}) {
       for (const std::string& scheduler : schedulers) {
         if (!SupportsTopology(scheduler, topology)) continue;
-        for (const std::string& strategy : strategies) {
-          SCOPED_TRACE(std::string(open_loop ? "open" : "closed") + " x " +
-                       scheduler + " x " + strategy + " x " +
-                       net::TopologyName(topology));
-          SimConfig config = MatrixConfig(scheduler, strategy, topology);
-          if (strategy == "trace_replay") {
-            // Replay needs a recorded schedule; the closed loop has none —
-            // the open pass replays the per-topology golden trace instead.
-            if (!open_loop) continue;
-            config.trace = GoldenTrace(topology);
-          } else if (open_loop) {
-            config.arrival_rate = 0.4;
-            config.arrival_burst = 6.0;
-          }
+        for (const bool fan_out : FanOutsFor(scheduler)) {
+          for (const std::string& strategy : strategies) {
+            SCOPED_TRACE(std::string(open_loop ? "open" : "closed") + " x " +
+                         scheduler + (fan_out ? " (fan-out)" : "") + " x " +
+                         strategy + " x " + net::TopologyName(topology));
+            SimConfig config =
+                MatrixConfig(scheduler, strategy, topology, fan_out);
+            if (strategy == "trace_replay") {
+              // Replay needs a recorded schedule; the closed loop has none —
+              // the open pass replays the per-topology golden trace instead.
+              if (!open_loop) continue;
+              config.trace = GoldenTrace(topology);
+            } else if (open_loop) {
+              config.arrival_rate = 0.4;
+              config.arrival_burst = 6.0;
+            }
 
-          const SimResult serial = RunWithWorkers(config, 1);
-          EXPECT_GT(serial.injected, 0u);
-          EXPECT_EQ(serial.injected,
-                    serial.committed + serial.aborted + serial.unresolved);
-          EXPECT_TRUE(serial.drained) << "did not drain within the cap";
-          EXPECT_EQ(serial.unresolved, 0u);
-          if (open_loop) {
-            // Open loop: every offered transaction was eventually injected
-            // (the schedule drains through the drain phase if need be).
-            EXPECT_GT(serial.offered_txns, 0u);
-            EXPECT_EQ(serial.offered_txns, serial.injected_txns);
-          }
+            const SimResult serial = RunWithWorkers(config, 1);
+            EXPECT_GT(serial.injected, 0u);
+            EXPECT_EQ(serial.injected,
+                      serial.committed + serial.aborted + serial.unresolved);
+            EXPECT_TRUE(serial.drained) << "did not drain within the cap";
+            EXPECT_EQ(serial.unresolved, 0u);
+            if (open_loop) {
+              // Open loop: every offered transaction was eventually injected
+              // (the schedule drains through the drain phase if need be).
+              EXPECT_GT(serial.offered_txns, 0u);
+              EXPECT_EQ(serial.offered_txns, serial.injected_txns);
+            }
 
-          const SimResult parallel = RunWithWorkers(config, 4);
-          ExpectBitIdenticalResults(serial, parallel);
+            const SimResult parallel = RunWithWorkers(config, 4);
+            ExpectBitIdenticalResults(serial, parallel);
+          }
         }
       }
     }

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "core/scheduler.h"
 #include "net/metric.h"
 #include "net/network.h"
 #include "net/outbox.h"
@@ -14,6 +15,22 @@
 
 namespace stableshard::net {
 namespace {
+
+/// The round epilogue's flush: seal the lanes and drain them in `parts`
+/// destination partitions (core::FlushShardRange), applied last partition
+/// first — per-destination order must not depend on the partition order.
+template <typename Payload>
+void FlushSealed(OutboxSet<Payload>& outbox, Network<Payload>& network,
+                 Round now, std::uint32_t parts = 1) {
+  outbox.Seal();
+  network.flush_cap.Acquire();  // annotation-only, no runtime effect
+  for (std::uint32_t part = parts; part-- > 0;) {
+    const auto [begin, end] =
+        core::FlushShardRange(outbox.shard_count(), part, parts);
+    outbox.FlushSealedTo(network, now, begin, end);
+  }
+  outbox.FinishSealedFlush(network);
+}
 
 void ExpectMetricAxioms(const ShardMetric& metric) {
   const ShardId s = metric.shard_count();
@@ -405,7 +422,7 @@ TEST(Outbox, FlushesLanesInShardOrder) {
   outbox.Send(2, 1, 21, /*payload_units=*/3);
   outbox.Send(1, 3, 10);
   EXPECT_FALSE(outbox.Empty());
-  outbox.Flush(network, /*now=*/5);
+  FlushSealed(outbox, network, /*now=*/5);
   EXPECT_TRUE(outbox.Empty());
   EXPECT_EQ(network.stats().messages_sent, 4u);
   EXPECT_EQ(network.stats().payload_units, 6u);
@@ -419,62 +436,74 @@ TEST(Outbox, FlushesLanesInShardOrder) {
   EXPECT_EQ(delivered[3].payload, 21);
 }
 
-TEST(Outbox, PartitionedFlushMatchesSerial) {
-  // Same sends through the serial Flush and through the pipelined triple
-  // (sealed, drained in two destination partitions applied in REVERSE
-  // order): delivery order, per-envelope seqs and every stat must agree.
+TEST(Outbox, PartitionedFlushMatchesPerEnvelopeSends) {
+  // The oracle is Network::Send called per item, lane by lane in sender
+  // order. The sealed flush must reproduce it with one partition and with
+  // three partitions applied in reverse order: delivery order, per-envelope
+  // seqs and every stat must agree.
   LineMetric metric(4);
-  Network<int> serial_net(metric);
-  Network<int> pipelined_net(metric);
-  OutboxSet<int> serial_outbox(4);
-  OutboxSet<int> pipelined_outbox(4);
-  const auto send_all = [](OutboxSet<int>& outbox) {
-    outbox.Send(2, 0, 20);
-    outbox.Send(0, 1, 1);
-    outbox.Send(2, 3, 23, /*payload_units=*/3);
-    outbox.Send(1, 3, 13);
-    outbox.Send(3, 3, 33, /*payload_units=*/2);
+  Network<int> oracle_net(metric);
+  Network<int> one_part_net(metric);
+  Network<int> three_part_net(metric);
+  OutboxSet<int> one_part_outbox(4);
+  OutboxSet<int> three_part_outbox(4);
+  struct Item {
+    ShardId from, to;
+    int payload;
+    std::uint64_t units;
   };
-  send_all(serial_outbox);
-  send_all(pipelined_outbox);
-
-  serial_outbox.Flush(serial_net, /*now=*/5);
-  pipelined_outbox.Seal();
-  // Reverse partition order: per-destination order must not care.
-  pipelined_outbox.FlushSealedTo(pipelined_net, /*now=*/5, 2, 4);
-  pipelined_outbox.FlushSealedTo(pipelined_net, /*now=*/5, 0, 2);
-  pipelined_outbox.FinishSealedFlush(pipelined_net);
-  EXPECT_TRUE(pipelined_outbox.Empty());
-
-  EXPECT_EQ(serial_net.stats().messages_sent,
-            pipelined_net.stats().messages_sent);
-  EXPECT_EQ(serial_net.stats().payload_units,
-            pipelined_net.stats().payload_units);
-  EXPECT_EQ(serial_net.stats().max_in_flight,
-            pipelined_net.stats().max_in_flight);
-  for (ShardId shard = 0; shard < 4; ++shard) {
-    EXPECT_EQ(serial_net.shard_traffic(shard).messages_in,
-              pipelined_net.shard_traffic(shard).messages_in);
-    EXPECT_EQ(serial_net.shard_traffic(shard).messages_out,
-              pipelined_net.shard_traffic(shard).messages_out);
-    EXPECT_EQ(serial_net.shard_traffic(shard).payload_in,
-              pipelined_net.shard_traffic(shard).payload_in);
-    EXPECT_EQ(serial_net.shard_traffic(shard).payload_out,
-              pipelined_net.shard_traffic(shard).payload_out);
-    EXPECT_EQ(serial_net.pending_for(shard),
-              pipelined_net.pending_for(shard));
+  // Listed in lane (sender) order, append order within a lane.
+  const Item items[] = {
+      {0, 1, 1, 1}, {1, 3, 13, 1}, {2, 0, 20, 1}, {2, 3, 23, 3},
+      {3, 3, 33, 2}};
+  for (const Item& item : items) {
+    oracle_net.Send(item.from, item.to, /*now=*/5, item.payload, item.units);
   }
-  // Drain both across the whole delivery horizon: the seq-merged global
-  // order must be identical envelope by envelope.
+  // The outboxes see the same sends with the lanes interleaved.
+  for (const std::size_t i : {2u, 0u, 3u, 1u, 4u}) {
+    for (OutboxSet<int>* outbox : {&one_part_outbox, &three_part_outbox}) {
+      outbox->Send(items[i].from, items[i].to, items[i].payload,
+                   items[i].units);
+    }
+  }
+  FlushSealed(one_part_outbox, one_part_net, /*now=*/5);
+  FlushSealed(three_part_outbox, three_part_net, /*now=*/5, /*parts=*/3);
+  EXPECT_TRUE(one_part_outbox.Empty());
+  EXPECT_TRUE(three_part_outbox.Empty());
+
+  for (const Network<int>* flushed : {&one_part_net, &three_part_net}) {
+    EXPECT_EQ(oracle_net.stats().messages_sent,
+              flushed->stats().messages_sent);
+    EXPECT_EQ(oracle_net.stats().payload_units,
+              flushed->stats().payload_units);
+    EXPECT_EQ(oracle_net.stats().max_in_flight,
+              flushed->stats().max_in_flight);
+    EXPECT_EQ(oracle_net.next_seq(), flushed->next_seq());
+    for (ShardId shard = 0; shard < 4; ++shard) {
+      EXPECT_EQ(oracle_net.shard_traffic(shard).messages_in,
+                flushed->shard_traffic(shard).messages_in);
+      EXPECT_EQ(oracle_net.shard_traffic(shard).messages_out,
+                flushed->shard_traffic(shard).messages_out);
+      EXPECT_EQ(oracle_net.shard_traffic(shard).payload_in,
+                flushed->shard_traffic(shard).payload_in);
+      EXPECT_EQ(oracle_net.shard_traffic(shard).payload_out,
+                flushed->shard_traffic(shard).payload_out);
+      EXPECT_EQ(oracle_net.pending_for(shard), flushed->pending_for(shard));
+    }
+  }
+  // Drain all three across the whole delivery horizon: the seq-merged
+  // global order must be identical envelope by envelope.
   for (Round now = 6; now < 10; ++now) {
-    const auto expected = serial_net.Deliver(now);
-    const auto actual = pipelined_net.Deliver(now);
-    ASSERT_EQ(expected.size(), actual.size()) << "round " << now;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].payload, actual[i].payload);
-      EXPECT_EQ(expected[i].seq, actual[i].seq);
-      EXPECT_EQ(expected[i].from, actual[i].from);
-      EXPECT_EQ(expected[i].to, actual[i].to);
+    const auto expected = oracle_net.Deliver(now);
+    for (Network<int>* flushed : {&one_part_net, &three_part_net}) {
+      const auto actual = flushed->Deliver(now);
+      ASSERT_EQ(expected.size(), actual.size()) << "round " << now;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i].payload, actual[i].payload);
+        EXPECT_EQ(expected[i].seq, actual[i].seq);
+        EXPECT_EQ(expected[i].from, actual[i].from);
+        EXPECT_EQ(expected[i].to, actual[i].to);
+      }
     }
   }
 }
@@ -515,7 +544,7 @@ TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
   for (std::size_t i = 0; i < kBurst; ++i) {
     outbox.Send(0, 1, static_cast<int>(i));
   }
-  outbox.Flush(network, /*now=*/0);
+  FlushSealed(outbox, network, /*now=*/0);
   network.Deliver(1);
   const LaneMemory after_burst = outbox.lane_memory();
   EXPECT_GE(after_burst.high_water_items, kBurst);
@@ -525,7 +554,7 @@ TEST(Outbox, LaneShrinkReleasesBurstCapacity) {
   // released instead of staying pinned at the burst peak forever.
   for (Round round = 1; round < 60; ++round) {
     outbox.Send(0, 1, 1);
-    outbox.Flush(network, round);
+    FlushSealed(outbox, network, round);
     network.Deliver(round + 1);
   }
   const LaneMemory settled = outbox.lane_memory();

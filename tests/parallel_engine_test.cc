@@ -1,9 +1,10 @@
 // Shard-parallel round loop tests: worker_threads = N must be bit-identical
 // to worker_threads = 1 for every scheduler (the decomposition contract of
-// core/scheduler.h), the pipelined epilogue (destination-partitioned flush
-// + double-buffered outbox/journal + overlapped adversary generation) must
-// be bit-identical to the serial EndRound, and parallel runs must satisfy
-// the same drained-run invariants as serial ones.
+// core/scheduler.h), the pipelined epilogue (the round epilogue drained in
+// one destination partition per worker, overlapped with the next round's
+// adversary generation) must be bit-identical to the one-partition
+// EndRound, and parallel runs must satisfy the same drained-run invariants
+// as serial ones.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -33,6 +33,10 @@ TEST(Registry, BuiltinSchedulersAreRegistered) {
   EXPECT_TRUE(registry.Contains("fds"));
   EXPECT_TRUE(registry.Contains("direct"));
   EXPECT_FALSE(registry.Contains("nope"));
+  // One entry per algorithm: the leader-sharding knobs are honoured by
+  // "bds"/"fds" themselves, not by registered twins.
+  EXPECT_FALSE(registry.Contains("bds_sharded"));
+  EXPECT_FALSE(registry.Contains("fds_multiroot"));
   const auto names = registry.Names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_GE(names.size(), 3u);

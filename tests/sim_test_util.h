@@ -28,8 +28,7 @@ inline core::SimConfig SmallConfig(const std::string& scheduler) {
   config.rounds = 1500;
   config.drain_cap = 60000;
   config.seed = 7;
-  // Both BDS modes ("bds" and the sharded-leader "bds_sharded") require
-  // the uniform model.
+  // BDS (single- and sharded-leader alike) requires the uniform model.
   config.topology = scheduler.rfind("bds", 0) == 0
                         ? net::TopologyKind::kUniform
                         : net::TopologyKind::kLine;

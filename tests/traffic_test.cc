@@ -1,5 +1,6 @@
 // Traffic engine tests: the trace grammar (strict parse errors for every
-// malformed shape the checksummed header is supposed to catch), the
+// malformed shape the checksummed header is supposed to catch, and a seeded
+// mutation suite over the tracked fixtures), the
 // (rho, b) window bound of the token-bucket arrival schedule — unit level
 // and engine level, churn faults included — the golden record→replay
 // round-trip, open-loop bit-identity across workers/pipeline, and the
@@ -8,12 +9,18 @@
 // an open-loop burst lands mid-run where the gate has live statistics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/engine.h"
+#include "durability/encoding.h"
 #include "sim_test_util.h"
 #include "traffic/arrival.h"
 #include "traffic/injector.h"
@@ -128,6 +135,142 @@ TEST(TraceFormat, RangeAndShapeChecks) {
   EXPECT_NE(ParseError(traffic::SerializeTrace(no_accounts))
                 .find("record lists no accounts"),
             std::string::npos);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// The header ParseTrace expects over `body`, claiming `records` records
+/// and carrying `body`'s true checksum: mutated record regions reach the
+/// record parser instead of stopping at the checksum.
+std::string WithHeader(const traffic::Trace& shape, const std::string& body,
+                       std::uint64_t records) {
+  const std::uint64_t checksum = durability::Fnv1a(
+      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+  char header[160];
+  std::snprintf(header, sizeof(header),
+                "sshard-trace v1\nmeta shards=%llu accounts=%llu "
+                "records=%llu checksum=%016llx\n",
+                static_cast<unsigned long long>(shape.shards),
+                static_cast<unsigned long long>(shape.accounts),
+                static_cast<unsigned long long>(records),
+                static_cast<unsigned long long>(checksum));
+  return header + body;
+}
+
+/// Lines as ParseTrace counts them: '\n'-terminated, plus an unterminated
+/// tail.
+std::uint64_t LineCount(const std::string& body) {
+  const auto newlines =
+      static_cast<std::uint64_t>(std::count(body.begin(), body.end(), '\n'));
+  return newlines + (!body.empty() && body.back() != '\n' ? 1 : 0);
+}
+
+TEST(TraceMutationTest, MutatedFixturesParseOrReject) {
+  // Seeded flips, truncations and splices of the tracked trace fixtures.
+  // Most trials re-checksum the mutated record region (and usually fix the
+  // record count) so the mutation reaches the record parser; the rest
+  // mutate the whole file, header included. The parser must either accept
+  // a trace that keeps the format's invariants or reject it with a reason.
+  std::vector<traffic::Trace> shapes;
+  std::vector<std::string> bodies;
+  for (const char* name : {"diurnal_t08", "diurnal_t12", "flash_t08",
+                           "flash_t12", "migrating_t08", "migrating_t12"}) {
+    const std::string text =
+        ReadFile(std::string(SSHARD_TRACE_DIR) + "/" + name + ".trace");
+    traffic::Trace trace;
+    std::string error;
+    ASSERT_TRUE(traffic::ParseTrace(text, &trace, &error)) << name << error;
+    const std::size_t meta_end = text.find('\n', text.find('\n') + 1);
+    ASSERT_NE(meta_end, std::string::npos);
+    ASSERT_EQ(WithHeader(trace, text.substr(meta_end + 1),
+                         trace.records.size()),
+              text)
+        << name;
+    bodies.push_back(text.substr(meta_end + 1));
+    shapes.push_back(std::move(trace));
+  }
+
+  // Record-line bytes plus a few the grammar does not use.
+  const std::string alphabet = "0123456789 !-\nx";
+  Rng rng(0x5eed'7ace'0014ULL);
+  std::uint64_t parsed = 0;
+  std::uint64_t rejected_past_checksum = 0;
+  std::set<std::string> reasons;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const std::size_t fixture = rng() % bodies.size();
+    const traffic::Trace& shape = shapes[fixture];
+    const bool whole_file = trial % 8 == 0;
+    std::string bytes =
+        whole_file ? WithHeader(shape, bodies[fixture], shape.records.size())
+                   : bodies[fixture];
+    const std::uint64_t edits = 1 + rng() % 3;
+    for (std::uint64_t i = 0; i < edits; ++i) {
+      switch (rng() % 3) {
+        case 0:  // overwrite one byte with a record byte or any byte
+          if (bytes.empty()) break;
+          bytes[rng() % bytes.size()] =
+              rng() % 4 == 0 ? static_cast<char>(rng() % 256)
+                             : alphabet[rng() % alphabet.size()];
+          break;
+        case 1:  // truncate
+          bytes.resize(rng() % (bytes.size() + 1));
+          break;
+        default: {  // splice a slice of any fixture's records in anywhere
+          const std::string& donor = bodies[rng() % bodies.size()];
+          const std::size_t from = rng() % donor.size();
+          const std::size_t length =
+              std::min<std::size_t>(rng() % 200, donor.size() - from);
+          bytes.insert(rng() % (bytes.size() + 1), donor, from, length);
+          break;
+        }
+      }
+    }
+    if (!whole_file) {
+      bytes = WithHeader(shape, bytes,
+                         rng() % 4 == 0 ? shape.records.size()
+                                        : LineCount(bytes));
+    }
+
+    traffic::Trace trace;
+    std::string error;
+    if (traffic::ParseTrace(bytes, &trace, &error)) {
+      ++parsed;
+      EXPECT_EQ(trace.shards, shape.shards);
+      EXPECT_EQ(trace.accounts, shape.accounts);
+      for (std::size_t r = 0; r < trace.records.size(); ++r) {
+        const traffic::TraceRecord& record = trace.records[r];
+        if (r > 0) {
+          EXPECT_GE(record.round, trace.records[r - 1].round);
+        }
+        EXPECT_LT(record.home, trace.shards);
+        EXPECT_FALSE(record.accesses.empty());
+        for (const traffic::TraceAccess& access : record.accesses) {
+          EXPECT_LT(access.account, trace.accounts);
+        }
+      }
+    } else {
+      EXPECT_FALSE(error.empty());
+      reasons.insert(error.substr(0, error.find_first_of(":0123456789")));
+      if (error != "checksum mismatch" &&
+          error.rfind("truncated trace", 0) != 0 &&
+          error.rfind("trailing data", 0) != 0) {
+        ++rejected_past_checksum;
+      }
+    }
+  }
+  // The seed must reach accepted traces and rejections from the record
+  // parser itself, or the test proves nothing.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected_past_checksum, 0u);
+  EXPECT_EQ(reasons.count("record rounds must be non-decreasing"), 1u);
+  EXPECT_EQ(reasons.count("malformed record"), 1u);
+  EXPECT_GE(reasons.size(), 8u);
 }
 
 // The exact burst constant the engine's schedule uses, replicated from the
