@@ -1,100 +1,36 @@
-// Shard-parallel round-loop bench: wall-clock speedup of worker_threads = N
-// over the serial path at large shard counts, with a bit-identical-results
-// assertion (the determinism contract of core/scheduler.h), plus the lazy
-// network-ring footprint (idle and steady-state) and the per-shard traffic
-// split that quantifies BDS's single-leader Amdahl bottleneck.
+// Shard-parallel round-loop bench. Every mode runs on one small core:
+// RunOnce (a timed run plus its introspection), WorkerInvariant (workers 4
+// with the pipelined epilogue on and off must match the serial run bit for
+// bit), Record (the BENCH_*.json writer), RunHeadToHead (fds vs the
+// backpressure wrapper over a list of cells) and CompareRoots (fds over one
+// top root vs several).
 //
-// Single-config mode:
-//   build/bench/parallel_rounds [--scheduler=bds|fds|direct] [--shards=256]
-//       [--topology=uniform|line|ring] [--rho=0.3] [--b=3000]
-//       [--rounds=1500] [--workers=8] [--k=8] [--seed=42]
+//   mode            record                   runs
+//   (default)       -                        one config on workers 1, 2, 4
+//                                            .. --workers: speedup, memory
+//   --check         -                        every scheduler, 3 WAL cells
+//   --grid          BENCH_scaling.json       s up to 1024 on 3 topologies,
+//                                            diameter_span root pair
+//   --phases        BENCH_pipeline.json      per-phase split, pipeline
+//                                            off/on, best of 5 runs
+//   --leadershare   -                        drained fds, 1 vs --roots roots
+//   --faults        BENCH_recovery.json      crash churn vs fault-free
+//   --backpressure  BENCH_backpressure.json  fds vs backpressure, Zipf skew
+//   --traffic       BENCH_traffic.json       fds vs backpressure, traces
 //
-// Determinism check mode (a `perf` ctest entry): workers 1 vs 4, pipelined
-// and unpipelined epilogue, every scheduler — including bds with
-// color_leaders = 4 ("bds_sharded") and fds with top_roots = 3
-// ("fds_multiroot") — on small configs; asserts every SimResult
-// bit-identical and exits 0:
-//   build/bench/parallel_rounds --check
-//
-// Leader-share mode (the single-leader-degeneration before/after, drained):
-// fds with one top root vs four ("fds_multiroot") on diameter_span;
-// asserts identical committed
-// counts, the busiest top-root leader below 3x the mean root-leader
-// share, and bit-identity across workers/pipeline:
-//   build/bench/parallel_rounds --leadershare [--smoke] [--shards=64]
-//       [--rounds=120] [--rho=0.10] [--roots=4]
-//
-// Crash/recovery mode (the durability churn record): BDS and FDS at s=64
-// with the WAL + checkpoints on and a two-event fault plan vs the
-// identical fault-free run; asserts drain + accounting identity, churn
-// commits == fault-free commits, wall rounds == fault-free + recovery
-// stalls, replay moved bytes, and workers/pipeline bit-identity:
-//   build/bench/parallel_rounds --faults [--smoke] [--shards=64]
-//       [--rounds=600] [--rho=0.2] [--checkpoint-interval=100]
-//       [--plan=5@350+12,23@520+18] [--json=BENCH_recovery.json]
-//
-// Phase-timing mode (the pipelined-epilogue before/after record): times
-// generate / inject / BeginRound / StepShard / flush / finish / sample
-// separately and reports each config's serial share, with the pipelined
-// epilogue off ("before": the one-partition EndRound) and on ("after":
-// destination-partitioned flush overlapped with next-round generation).
-// Runs go through the engine's per-round gate, and each row reports how
-// many rounds it fanned out (pooled_rounds); each cell keeps the fastest
-// of 5 runs (1 for the smoke):
-//   build/bench/parallel_rounds --phases [--smoke] [--rounds=300]
-//       [--rho=0.15] [--b=3000] [--radius=8] [--json=BENCH_pipeline.json]
-//
-// Large-s grid mode (the ROADMAP s = 1024 sweep). Besides the standard
-// cells it appends the diameter_span before/after pair at s = 1024 — "fds"
-// with a single top root (~99% of traffic on one leader) vs 8 roots
-// (reported as "fds_multiroot"; asserts the busiest root leader < 3x the
-// mean root-leader share and identical committed counts) — and every JSON
-// row carries max_single_leader_queue and the root-leader imbalance:
-//   build/bench/parallel_rounds --grid [--rounds=400] [--rho=0.15]
-//       [--b=3000] [--workers=8] [--radius=8] [--json=BENCH_scaling.json]
-//
-// Backpressure head-to-head (the hot-destination load-shedding record):
-// fds vs the backpressure admission-control wrapper on
-// --strategy=hot_destination across Zipf exponents, sustained overload
-// (no one-shot burst — admission control cannot see a burst that lands
-// before any traffic exists). Asserts the accounting identity, that every
-// run drains, backpressure bit-identity across workers 1/4 x pipeline
-// on/off, and that the leader-queue peak is strictly below fds's at every
-// theta >= 1.0:
-//   build/bench/parallel_rounds --backpressure [--smoke] [--rounds=800]
-//       [--rho=0.35] [--shards=64] [--bp-high=48] [--bp-low=12]
-//       [--json=BENCH_backpressure.json]
-//
-// Open-loop traffic replay (the production-shaped workload record): the
-// tracked tests/traces/ fixtures — {diurnal, flash, migrating} x Zipf
-// theta {0.8, 1.2}, generated by tools/gen_trace.py — replayed through fds
-// vs the backpressure wrapper. Asserts every replay injects its whole
-// trace, drains with the accounting identity, commits exactly fds's
-// counts, cuts the migrating-skew leader-queue peak, and stays
-// bit-identical across workers 1/4 x pipeline on/off:
-//   build/bench/parallel_rounds --traffic [--smoke]
-//       [--trace-dir=tests/traces] [--bp-high=48] [--bp-low=12]
-//       [--json=BENCH_traffic.json]
-//
-// The grid runs s in {256, 512, 1024} on line (fds), ring (fds) and
-// uniform (bds) topologies with burst b = 3000 — the non-uniform cells use
-// the radius-bounded local workload (see the note at the config) — checks
-// worker_threads = 1 vs N bit-identical at every size, and writes a per-s
-// memory/speedup/leader-share table to BENCH_scaling.json. Two readings to
-// expect:
-//   * memory — ring_buckets_at_start is always 0 (the lazy ring allocates
-//     nothing at construction; the former dense table pre-allocated
-//     dense_bucket_equivalent = (Diameter + 2) * s vectors, ~1M / ~25 MB
-//     on the 1024-shard line);
-//   * Amdahl — BDS's per-epoch coloring runs at a single leader (a
-//     property of Algorithm 1), so its speedup plateaus while FDS scales;
-//     leader_in_share is the busiest shard's fraction of all delivered
-//     messages (1/s would be perfectly balanced).
+// --smoke shrinks --phases, --leadershare, --faults and --backpressure to
+// their `perf` ctest size. Each mode's function names the flags it reads
+// and SSHARD_CHECKs its claims; docs/BENCHMARKS.md describes every record
+// field.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -128,6 +64,11 @@ struct TimedRun {
   /// judged by: diameter-spanning load must spread across them instead of
   /// funneling into root 0's leader.
   std::vector<std::uint64_t> root_leader_in;
+  /// Admission-control counters of the backpressure wrapper (zero for
+  /// every other scheduler).
+  std::uint64_t deferred = 0;
+  std::uint64_t readmitted = 0;
+  std::uint64_t hot_transitions = 0;
 };
 
 /// Which rounds of a multi-worker run fan out. kGated times the engine as
@@ -174,8 +115,124 @@ TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
           sim.scheduler().ShardTrafficFor(leader).messages_in);
     }
   }
+  if (const auto* backpressure =
+          dynamic_cast<const consensus::BackpressureScheduler*>(
+              &sim.scheduler())) {
+    timed.deferred = backpressure->deferred_total();
+    timed.readmitted = backpressure->readmitted_total();
+    timed.hot_transitions = backpressure->hot_transitions();
+  }
   return timed;
 }
+
+/// The drained base config of the record modes: `topology` with its bench
+/// hierarchy, one account per shard (round robin), run until idle within
+/// 200000 drain rounds.
+core::SimConfig DrainedConfig(net::TopologyKind topology, ShardId shards,
+                              std::uint64_t seed) {
+  core::SimConfig config;
+  config.topology = topology;
+  config.hierarchy = bench::HierarchyFor(topology);
+  config.shards = shards;
+  config.accounts = shards;
+  config.account_assignment = core::AccountAssignment::kRoundRobin;
+  config.drain_cap = 200000;
+  config.seed = seed;
+  return config;
+}
+
+bool Identical(const core::SimResult& a, const core::SimResult& b) {
+  return core::FirstDifferingField(a, b).empty();
+}
+
+/// The worker-invariance check every mode shares: `config` on 4 workers,
+/// every round pooled, with the pipelined epilogue on and then off, must
+/// reproduce `serial` (its workers = 1 result) bit for bit. Names the first
+/// differing field on stderr when it does not.
+bool WorkerInvariant(const core::SimConfig& config,
+                     const core::SimResult& serial) {
+  for (const bool pipeline : {true, false}) {
+    const std::string_view field =
+        core::FirstDifferingField(serial, RunOnce(config, 4, pipeline).result);
+    if (!field.empty()) {
+      std::fprintf(stderr,
+                   "workers 4, pipeline %s: SimResult.%.*s differs from the "
+                   "serial run\n",
+                   pipeline ? "on" : "off", static_cast<int>(field.size()),
+                   field.data());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One named value of a record header or row, rendered as JSON: booleans
+/// as true/false, integers exactly, doubles with six decimals, anything
+/// else as a string.
+struct Field {
+  template <typename T>
+  Field(const char* field_name, const T& value) : name(field_name) {
+    if constexpr (std::is_same_v<T, bool>) {
+      json = value ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+      json = std::to_string(value);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char text[64];
+      std::snprintf(text, sizeof text, "%.6f", value);
+      json = text;
+    } else {
+      json = '"' + std::string(value) + '"';
+    }
+  }
+  const char* name;
+  std::string json;
+};
+using Fields = std::vector<Field>;
+
+/// The BENCH_*.json writer. A mode opens it before its first run, so an
+/// unwritable path exits 2 at once instead of after minutes of wall clock.
+/// Write puts the header fields one per line, then "rows" with one object
+/// per line.
+class Record {
+ public:
+  Record() = default;
+  Record(const Record&) = delete;
+  Record& operator=(const Record&) = delete;
+  ~Record() {
+    if (file_ != nullptr) std::fclose(file_);
+  }
+
+  bool Open(const std::string& path) {
+    file_ = std::fopen(path.c_str(), "w");
+    if (file_ == nullptr) {
+      std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
+                   path.c_str());
+    }
+    return file_ != nullptr;
+  }
+
+  void Write(const Fields& header, const std::vector<Fields>& rows) {
+    std::fprintf(file_, "{\n");
+    for (const Field& field : header) {
+      std::fprintf(file_, "  \"%s\": %s,\n", field.name, field.json.c_str());
+    }
+    std::fprintf(file_, "  \"rows\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      std::fprintf(file_, "    {");
+      for (std::size_t j = 0; j < rows[i].size(); ++j) {
+        std::fprintf(file_, "%s\"%s\": %s", j > 0 ? ", " : "",
+                     rows[i][j].name, rows[i][j].json.c_str());
+      }
+      std::fprintf(file_, "}%s\n", i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(file_, "  ]\n}\n");
+    std::fclose(file_);
+    file_ = nullptr;
+  }
+
+ private:
+  std::FILE* file_ = nullptr;
+};
 
 /// Busiest-vs-mean ratio over the top-root leaders' inbound counts (0 when
 /// the run had no hierarchy or no traffic). 1.0 is perfectly balanced; the
@@ -193,6 +250,116 @@ double RootLeaderImbalance(const TimedRun& run) {
   return static_cast<double>(max_in) / mean;
 }
 
+/// The single-leader-degeneration before/after: fds `config` over one top
+/// root, then over `roots`, each side run (and reported) by `run_side`.
+/// The multi-root hierarchy must move load, never outcomes — both sides
+/// commit the same count — and its busiest root leader must stay below 3x
+/// the mean root-leader share. Returns {one root, `roots` roots}.
+template <typename RunSide>
+std::pair<TimedRun, TimedRun> CompareRoots(core::SimConfig config,
+                                           std::uint32_t roots,
+                                           RunSide run_side) {
+  config.fds_top_roots = 1;
+  TimedRun one_root = run_side(config);
+  config.fds_top_roots = roots;
+  TimedRun multiroot = run_side(config);
+  SSHARD_CHECK(one_root.result.committed == multiroot.result.committed &&
+               "multi-root hierarchy changed the committed count — the "
+               "redirect lost or duplicated admissions");
+  SSHARD_CHECK(RootLeaderImbalance(multiroot) < 3.0 &&
+               "busiest top-root leader above 3x the mean root-leader "
+               "share — the multi-root spread regressed");
+  return {std::move(one_root), std::move(multiroot)};
+}
+
+/// One cell of the fds-vs-backpressure head-to-head.
+struct HeadToHeadCell {
+  std::string shape;  ///< the workload: hot_destination or a trace shape
+  double theta = 0;   ///< its Zipf exponent
+  core::SimConfig config;  ///< the scheduler is set per side
+  bool cut_peak = false;  ///< backpressure must strictly cut the ldrq peak
+  /// Replayed traces only: the whole trace must be offered and injected.
+  std::optional<std::uint64_t> trace_records;
+};
+
+using HeadToHeadFields = Fields (*)(const HeadToHeadCell&, const TimedRun&);
+
+/// fds vs the backpressure admission-control wrapper on every cell, then the
+/// backpressure side of `spot_check` on workers 1 vs 4 x pipeline on/off.
+/// Writes `record` (`header`, the spot check's identity flag, and one
+/// `row_fields` row per run) and asserts: every run drains with the
+/// accounting identity (and a replay injects its whole trace), both sides
+/// of a cell commit the same count — shedding defers, it never drops — the
+/// peak is cut where the cell demands it, and the spot check is
+/// bit-identical.
+void RunHeadToHead(const std::vector<HeadToHeadCell>& cells,
+                   core::SimConfig spot_check, Fields header,
+                   HeadToHeadFields row_fields, Record& record) {
+  std::printf(
+      "%15s %5s %13s | %8s %8s | %10s %10s %9s | %9s %10s %9s %9s | %8s\n",
+      "shape", "zipf", "scheduler", "offered", "injected", "ldrq_avg",
+      "ldrq_peak", "spill_pk", "deferred", "committed", "avg_lat", "p99_lat",
+      "drained");
+  std::vector<Fields> rows;
+  bool all_ok = true;
+  bool commits_match = true;
+  bool peaks_below = true;
+  for (const HeadToHeadCell& cell : cells) {
+    core::SimResult sides[2];
+    for (const int side : {0, 1}) {
+      core::SimConfig config = cell.config;
+      config.scheduler = side == 0 ? "fds" : "backpressure";
+      const TimedRun run = RunOnce(config, 1);
+      const core::SimResult& r = run.result;
+      // Open loop: the whole trace was offered and, once the drain phase
+      // let the schedule finish, every offer was injected.
+      const bool replayed_all =
+          !cell.trace_records ||
+          (r.offered_txns == *cell.trace_records &&
+           r.injected_txns == r.offered_txns && r.injected == r.offered_txns);
+      all_ok = all_ok && r.injected == r.committed + r.aborted + r.unresolved &&
+               replayed_all && r.drained && r.unresolved == 0;
+      std::printf(
+          "%15s %5.2f %13s | %8llu %8llu | %10.2f %10.1f %9llu | %9llu %10llu "
+          "%9.1f %9.0f | %8s\n",
+          cell.shape.c_str(), cell.theta, run.scheduler.c_str(),
+          static_cast<unsigned long long>(r.offered_txns),
+          static_cast<unsigned long long>(r.injected_txns),
+          r.avg_leader_queue, r.max_leader_queue,
+          static_cast<unsigned long long>(r.spill_peak),
+          static_cast<unsigned long long>(run.deferred),
+          static_cast<unsigned long long>(r.committed), r.avg_latency,
+          r.p99_latency, r.drained ? "yes" : "NO");
+      rows.push_back(row_fields(cell, run));
+      sides[side] = r;
+    }
+    commits_match = commits_match && sides[1].committed == sides[0].committed;
+    if (cell.cut_peak) {
+      peaks_below =
+          peaks_below && sides[1].max_leader_queue < sides[0].max_leader_queue;
+    }
+  }
+
+  spot_check.scheduler = "backpressure";
+  const bool identical =
+      WorkerInvariant(spot_check, RunOnce(spot_check, 1).result);
+  header.emplace_back("workers_1_vs_4_pipeline_on_off_identical", identical);
+  record.Write(header, rows);
+
+  SSHARD_CHECK(all_ok &&
+               "a run broke the accounting identity, failed to drain, or "
+               "did not inject its whole trace");
+  SSHARD_CHECK(commits_match &&
+               "backpressure committed a different count than fds — "
+               "admissions were lost or duplicated");
+  SSHARD_CHECK(peaks_below &&
+               "backpressure did not cut the leader-queue peak on a cell "
+               "that requires it");
+  SSHARD_CHECK(identical &&
+               "backpressure changed a SimResult across workers/pipeline — "
+               "determinism bug");
+}
+
 /// Fraction of the run the driving thread spent outside the two phases
 /// that scale with workers (the StepShard fan-out and the partitioned
 /// flush window) — the Amdahl serial share of one round.
@@ -201,37 +368,6 @@ double SerialShare(const core::PhaseTimes& phases) {
   const double share =
       (phases.total - phases.step - phases.flush) / phases.total;
   return std::max(0.0, share);
-}
-
-/// Protocol-outcome fields equal, doubles bit-for-bit. This is the subset
-/// a WAL-enabled fault-free run must share with a WAL-off run: the WAL is
-/// write-only until a crash, so only the durability counters may differ.
-bool IdenticalProtocol(const core::SimResult& a, const core::SimResult& b) {
-  return a.injected == b.injected && a.committed == b.committed &&
-         a.aborted == b.aborted && a.unresolved == b.unresolved &&
-         a.max_pending == b.max_pending && a.spill_peak == b.spill_peak &&
-         a.messages == b.messages &&
-         a.payload_units == b.payload_units &&
-         a.rounds_executed == b.rounds_executed && a.drained == b.drained &&
-         a.offered_txns == b.offered_txns &&
-         a.injected_txns == b.injected_txns &&
-         a.inject_lag_peak == b.inject_lag_peak &&
-         a.avg_pending_per_shard == b.avg_pending_per_shard &&
-         a.avg_leader_queue == b.avg_leader_queue &&
-         a.max_leader_queue == b.max_leader_queue &&
-         a.max_single_leader_queue == b.max_single_leader_queue &&
-         a.avg_latency == b.avg_latency && a.max_latency == b.max_latency &&
-         a.p50_latency == b.p50_latency && a.p99_latency == b.p99_latency;
-}
-
-/// Every SimResult field equal — the durability counters included: the WAL
-/// persists, checkpoints cut and the fault plan replays identically
-/// whatever the worker count or epilogue mode.
-bool Identical(const core::SimResult& a, const core::SimResult& b) {
-  return IdenticalProtocol(a, b) && a.wal_bytes == b.wal_bytes &&
-         a.checkpoint_count == b.checkpoint_count &&
-         a.replay_bytes == b.replay_bytes &&
-         a.recovery_rounds == b.recovery_rounds;
 }
 
 void PrintRingMemory(const TimedRun& run) {
@@ -261,19 +397,14 @@ void PrintRingMemory(const TimedRun& run) {
       static_cast<unsigned long long>(arena.resets));
 }
 
-struct GridRow {
-  ShardId shards = 0;
-  std::string topology;
-  std::string scheduler;
-  std::string strategy;
-  double serial_seconds = 0;
-  double parallel_seconds = 0;
-  double speedup = 0;
-  std::uint32_t workers = 0;
-  bool identical = false;
-  TimedRun parallel;  ///< memory + leader share from the parallel run
-};
-
+/// The large-s grid: s in {256, 512, 1024} on line (fds), ring (fds) and
+/// uniform (bds), burst b = 3000, the non-uniform cells on the
+/// radius-bounded local workload (see bench::LargeGridConfig). Each cell
+/// runs workers 1 vs --workers through the engine's gate and must match
+/// bit for bit. Two readings to expect: ring_buckets_at_start is always 0
+/// (the lazy ring allocates nothing up front; the former dense table held
+/// (Diameter + 2) * s buckets), and BDS's speedup plateaus — Algorithm 1
+/// colors each epoch at a single leader — while FDS scales.
 int RunGrid(const Flags& flags) {
   const auto rounds = static_cast<Round>(flags.GetUint("rounds", 400));
   const double rho = flags.GetDouble("rho", 0.15);
@@ -285,14 +416,8 @@ int RunGrid(const Flags& flags) {
   const std::string json_path =
       flags.GetString("json", "BENCH_scaling.json");
   if (!flags.FinishReads()) return 2;
-  // Open the output before burning minutes of grid wall clock on a path
-  // that turns out to be unwritable.
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   std::printf("parallel_rounds grid: s in {256,512,1024}, b=%.0f, rho=%.2f, "
               "%llu rounds, workers 1 vs %u\n\n",
@@ -301,41 +426,47 @@ int RunGrid(const Flags& flags) {
               "topology", "sched", "serial_s", "par_s", "speedup", "buckets@0",
               "buckets@end", "ldr_in%", "ldr_out%", "identical");
 
-  std::vector<GridRow> rows;
+  std::vector<Fields> rows;
   bool all_identical = true;
-  auto run_cell = [&](const core::SimConfig& config) -> const GridRow& {
+  auto run_cell = [&](const core::SimConfig& config) {
     const TimedRun serial = RunOnce(config, 1);
-    const TimedRun parallel =
+    TimedRun parallel =
         RunOnce(config, workers, /*pipeline=*/true, Fanout::kGated);
     const bool identical = Identical(serial.result, parallel.result);
     all_identical = all_identical && identical;
-
-    GridRow row;
-    row.shards = config.shards;
-    row.topology = net::TopologyName(config.topology);
-    row.scheduler = parallel.scheduler;
-    row.strategy = config.strategy;
-    row.serial_seconds = serial.seconds;
-    row.parallel_seconds = parallel.seconds;
-    row.speedup =
+    const double speedup =
         parallel.seconds > 0 ? serial.seconds / parallel.seconds : 0.0;
-    row.workers = workers;
-    row.identical = identical;
-    row.parallel = parallel;
-    rows.push_back(row);
-
+    const std::string topology = net::TopologyName(config.topology);
+    const net::RingMemory& memory = parallel.memory_at_end;
     std::printf(
         "%6u %8s %13s | %9.3f %9.3f %7.2fx | %10llu %12llu | %8.2f%% "
         "%8.2f%% %10s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(),
-        serial.seconds, parallel.seconds, row.speedup,
+        config.shards, topology.c_str(), parallel.scheduler.c_str(),
+        serial.seconds, parallel.seconds, speedup,
         static_cast<unsigned long long>(
             parallel.memory_at_start.allocated_buckets),
-        static_cast<unsigned long long>(
-            parallel.memory_at_end.allocated_buckets),
+        static_cast<unsigned long long>(memory.allocated_buckets),
         100.0 * parallel.leader_in_share, 100.0 * parallel.leader_out_share,
         identical ? "yes" : "NO");
-    return rows.back();
+    rows.push_back(
+        {{"s", config.shards}, {"topology", topology},
+         {"scheduler", parallel.scheduler}, {"strategy", config.strategy},
+         {"serial_seconds", serial.seconds},
+         {"parallel_seconds", parallel.seconds}, {"speedup", speedup},
+         {"identical", identical},
+         {"ring_buckets_at_start", parallel.memory_at_start.allocated_buckets},
+         {"ring_live_destinations", memory.live_destinations},
+         {"ring_buckets", memory.allocated_buckets},
+         {"ring_capacity_bytes", memory.bucket_capacity_bytes},
+         {"dense_bucket_equivalent", memory.dense_bucket_equivalent},
+         {"leader_in_share", parallel.leader_in_share},
+         {"leader_out_share", parallel.leader_out_share},
+         {"max_single_leader_queue", parallel.result.max_single_leader_queue},
+         {"root_leaders", parallel.root_leader_in.size()},
+         {"root_leader_imbalance", RootLeaderImbalance(parallel)},
+         {"committed", parallel.result.committed},
+         {"messages", parallel.result.messages}});
+    return parallel;
   };
 
   for (const bench::LargeGridCell& cell : bench::LargeScaleGrid()) {
@@ -347,90 +478,29 @@ int RunGrid(const Flags& flags) {
 
   // Before/after record for the single-leader degeneration fix:
   // diameter_span at s = 1024 homes every transaction in a top-layer root
-  // cluster. With the classic single-top hierarchy ("fds", the "before"
-  // row) the lone root leader sees ~99% of all traffic; the multi-root
-  // hierarchy (8 roots, the "after" row) hashes the same workload
-  // across the root leaders, and the busiest of them must stay below 3x
-  // the mean root-leader share. The fix must not change what commits: at
-  // this scale the top-layer epochs outlast the bench window, so both
-  // rows must report identical committed counts.
+  // cluster. With the classic single-top hierarchy (the "before" row) the
+  // lone root leader sees ~99% of all traffic; 8 roots (the "after" row)
+  // hash the same workload across the root leaders. At this scale the
+  // top-layer epochs outlast the bench window, so both rows commit the
+  // same count.
   std::printf("\ndiameter_span before/after (s=1024, line):\n");
-  std::uint64_t diameter_committed[2] = {0, 0};
-  double multiroot_imbalance = 0;
-  double before_share = 0, after_share = 0;
-  const std::uint32_t diameter_roots[] = {1, 8};
-  for (std::size_t i = 0; i < 2; ++i) {
-    core::SimConfig config = bench::LargeGridConfig(
-        {net::TopologyKind::kLine, "fds", 1024}, rho, burst, rounds, radius);
-    config.seed = seed;
-    config.strategy = "diameter_span";
-    config.fds_top_roots = diameter_roots[i];
-    const GridRow& row = run_cell(config);
-    diameter_committed[i] = row.parallel.result.committed;
-    if (i == 0) {
-      before_share = row.parallel.leader_in_share;
-    } else {
-      after_share = row.parallel.leader_in_share;
-      multiroot_imbalance = RootLeaderImbalance(row.parallel);
-    }
-  }
+  core::SimConfig diameter = bench::LargeGridConfig(
+      {net::TopologyKind::kLine, "fds", 1024}, rho, burst, rounds, radius);
+  diameter.seed = seed;
+  diameter.strategy = "diameter_span";
+  const auto [one_root, multiroot] = CompareRoots(diameter, 8, run_cell);
   std::printf(
       "busiest-shard inbound share %.2f%% -> %.2f%%; busiest root leader "
       "at %.2fx the mean root-leader share (bar: < 3x)\n",
-      100.0 * before_share, 100.0 * after_share, multiroot_imbalance);
+      100.0 * one_root.leader_in_share, 100.0 * multiroot.leader_in_share,
+      RootLeaderImbalance(multiroot));
 
-  // Per-s memory/speedup table, machine-readable (BENCH_scaling.json).
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_grid\",\n"
-               "  \"burst\": %.0f,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"workers\": %u,\n  \"rows\": [\n",
-               burst, rho, static_cast<unsigned long long>(rounds), workers);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GridRow& row = rows[i];
-    const net::RingMemory& memory = row.parallel.memory_at_end;
-    std::fprintf(
-        json,
-        "    {\"s\": %u, \"topology\": \"%s\", \"scheduler\": \"%s\",\n"
-        "     \"strategy\": \"%s\",\n"
-        "     \"serial_seconds\": %.6f, \"parallel_seconds\": %.6f,\n"
-        "     \"speedup\": %.4f, \"identical\": %s,\n"
-        "     \"ring_buckets_at_start\": %llu,\n"
-        "     \"ring_live_destinations\": %llu, \"ring_buckets\": %llu,\n"
-        "     \"ring_capacity_bytes\": %llu,\n"
-        "     \"dense_bucket_equivalent\": %llu,\n"
-        "     \"leader_in_share\": %.6f, \"leader_out_share\": %.6f,\n"
-        "     \"max_single_leader_queue\": %.6f,\n"
-        "     \"root_leaders\": %zu, \"root_leader_imbalance\": %.6f,\n"
-        "     \"committed\": %llu, \"messages\": %llu}%s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(),
-        row.strategy.c_str(),
-        row.serial_seconds, row.parallel_seconds, row.speedup,
-        row.identical ? "true" : "false",
-        static_cast<unsigned long long>(
-            row.parallel.memory_at_start.allocated_buckets),
-        static_cast<unsigned long long>(memory.live_destinations),
-        static_cast<unsigned long long>(memory.allocated_buckets),
-        static_cast<unsigned long long>(memory.bucket_capacity_bytes),
-        static_cast<unsigned long long>(memory.dense_bucket_equivalent),
-        row.parallel.leader_in_share, row.parallel.leader_out_share,
-        row.parallel.result.max_single_leader_queue,
-        row.parallel.root_leader_in.size(),
-        RootLeaderImbalance(row.parallel),
-        static_cast<unsigned long long>(row.parallel.result.committed),
-        static_cast<unsigned long long>(row.parallel.result.messages),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
+  record.Write({{"bench", "parallel_rounds_grid"},
+                {"burst", burst}, {"rho", rho}, {"rounds", rounds},
+                {"workers", workers}},
+               rows);
   SSHARD_CHECK(all_identical &&
                "worker_threads changed a SimResult — determinism bug");
-  SSHARD_CHECK(diameter_committed[0] == diameter_committed[1] &&
-               "multi-root hierarchy changed the diameter_span committed "
-               "count — the fix must redistribute load, not outcomes");
-  SSHARD_CHECK(multiroot_imbalance < 3.0 &&
-               "busiest top-root leader above 3x the mean root-leader "
-               "share — the multi-root spread regressed");
   std::printf(
       "\nall %zu grid cells bit-identical across worker counts; "
       "table written to %s\n"
@@ -442,25 +512,11 @@ int RunGrid(const Flags& flags) {
   return 0;
 }
 
-/// One row of the --phases table/JSON: one (cell, workers, pipeline) run.
-struct PhasesRow {
-  ShardId shards = 0;
-  std::string topology;
-  std::string scheduler;
-  std::uint32_t workers = 0;
-  bool pipeline = false;
-  double seconds = 0;
-  double speedup = 0;  ///< vs the cell's workers = 1 baseline
-  double serial_share = 0;
-  double max_single_leader_queue = 0;  ///< SimResult peak per-leader queue
-  bool identical = false;
-  Round pooled_rounds = 0;
-  Round rounds_executed = 0;
-  core::PhaseTimes phases;
-  net::LaneMemory lanes;
-  common::ArenaMemoryStats arena;
-};
-
+/// The pipelined-epilogue before/after: generate / inject / BeginRound /
+/// StepShard / flush / finish / sample timed separately, with the pipeline
+/// off (the one-partition EndRound) and on (destination-partitioned flush
+/// overlapped with next-round generation). Runs go through the engine's
+/// per-round gate and each row reports how many rounds it fanned out.
 int RunPhases(const Flags& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const auto rounds =
@@ -475,12 +531,8 @@ int RunPhases(const Flags& flags) {
   const std::string json_path =
       flags.GetString("json", "BENCH_pipeline.json");
   if (!flags.FinishReads()) return 2;
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   const std::vector<ShardId> sizes =
       smoke ? std::vector<ShardId>{64} : std::vector<ShardId>{256, 1024};
@@ -559,90 +611,55 @@ int RunPhases(const Flags& flags) {
     }
   }
 
-  std::vector<PhasesRow> rows;
+  std::vector<Fields> rows;
   bool all_identical = true;
   for (const PhasesRun& run : runs) {
     const TimedRun& timed = run.best;
+    const core::PhaseTimes& phases = timed.phases;
     const double baseline_seconds = runs[run.baseline].best.seconds;
+    const double speedup =
+        timed.seconds > 0 ? baseline_seconds / timed.seconds : 0.0;
+    const std::string topology = net::TopologyName(run.config.topology);
     all_identical = all_identical && run.identical;
     // The smoke's burst is sized to reach the gate: a multi-worker cell
     // that never fans out would check nothing about the pool.
     SSHARD_CHECK((!smoke || run.workers == 1 || timed.pooled_rounds > 0) &&
                  "phases smoke: a multi-worker cell ran no pooled round");
 
-    PhasesRow row;
-    row.shards = run.config.shards;
-    row.topology = net::TopologyName(run.config.topology);
-    row.scheduler = run.config.scheduler;
-    row.workers = run.workers;
-    row.pipeline = run.pipeline;
-    row.seconds = timed.seconds;
-    row.speedup = timed.seconds > 0 ? baseline_seconds / timed.seconds : 0.0;
-    row.serial_share = SerialShare(timed.phases);
-    row.max_single_leader_queue = timed.result.max_single_leader_queue;
-    row.identical = run.identical;
-    row.pooled_rounds = timed.pooled_rounds;
-    row.rounds_executed = timed.result.rounds_executed;
-    row.phases = timed.phases;
-    row.lanes = timed.lane_memory_at_end;
-    row.arena = timed.arena_at_end;
-    rows.push_back(row);
-
     std::printf(
         "%6u %8s %5s %7u %8s | %8.3f %7.2fx | %8.3f %8.3f %8.3f "
         "%7.1f%% | %8llu | %8s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(), row.workers,
-        row.workers == 1 ? "n/a" : (row.pipeline ? "on" : "off"),
-        timed.seconds, row.speedup, timed.phases.step, timed.phases.flush,
-        timed.phases.finish, 100.0 * row.serial_share,
-        static_cast<unsigned long long>(row.pooled_rounds),
-        row.identical ? "yes" : "NO");
+        run.config.shards, topology.c_str(), run.config.scheduler.c_str(),
+        run.workers, run.workers == 1 ? "n/a" : (run.pipeline ? "on" : "off"),
+        timed.seconds, speedup, phases.step, phases.flush, phases.finish,
+        100.0 * SerialShare(phases),
+        static_cast<unsigned long long>(timed.pooled_rounds),
+        run.identical ? "yes" : "NO");
+    rows.push_back(
+        {{"s", run.config.shards}, {"topology", topology},
+         {"scheduler", run.config.scheduler}, {"workers", run.workers},
+         {"pipeline", run.pipeline}, {"seconds", timed.seconds},
+         {"speedup", speedup}, {"identical", run.identical},
+         {"pooled_rounds", timed.pooled_rounds},
+         {"rounds_executed", timed.result.rounds_executed},
+         {"serial_share", SerialShare(phases)},
+         {"max_single_leader_queue", timed.result.max_single_leader_queue},
+         {"phase_generate", phases.generate}, {"phase_inject", phases.inject},
+         {"phase_begin", phases.begin}, {"phase_step", phases.step},
+         {"phase_flush", phases.flush}, {"phase_finish", phases.finish},
+         {"phase_sample", phases.sample}, {"phase_total", phases.total},
+         {"outbox_capacity_bytes", timed.lane_memory_at_end.capacity_bytes},
+         {"outbox_high_water_items",
+          timed.lane_memory_at_end.high_water_items},
+         {"arena_reserved_bytes", timed.arena_at_end.reserved_bytes},
+         {"arena_high_water_bytes", timed.arena_at_end.high_water_bytes},
+         {"arena_resets", timed.arena_at_end.resets}});
   }
 
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_phases\",\n"
-               "  \"burst\": %.0f,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"repeat\": %u,\n  \"rows\": [\n",
-               burst, rho, static_cast<unsigned long long>(rounds), repeat);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PhasesRow& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"s\": %u, \"topology\": \"%s\", \"scheduler\": \"%s\",\n"
-        "     \"workers\": %u, \"pipeline\": %s,\n"
-        "     \"seconds\": %.6f, \"speedup\": %.4f, \"identical\": %s,\n"
-        "     \"pooled_rounds\": %llu, \"rounds_executed\": %llu,\n"
-        "     \"serial_share\": %.6f,\n"
-        "     \"max_single_leader_queue\": %.6f,\n"
-        "     \"phase_generate\": %.6f, \"phase_inject\": %.6f,\n"
-        "     \"phase_begin\": %.6f, \"phase_step\": %.6f,\n"
-        "     \"phase_flush\": %.6f, \"phase_finish\": %.6f,\n"
-        "     \"phase_sample\": %.6f, \"phase_total\": %.6f,\n"
-        "     \"outbox_capacity_bytes\": %llu,\n"
-        "     \"outbox_high_water_items\": %llu,\n"
-        "     \"arena_reserved_bytes\": %llu,\n"
-        "     \"arena_high_water_bytes\": %llu,\n"
-        "     \"arena_resets\": %llu}%s\n",
-        row.shards, row.topology.c_str(), row.scheduler.c_str(), row.workers,
-        row.pipeline ? "true" : "false", row.seconds, row.speedup,
-        row.identical ? "true" : "false",
-        static_cast<unsigned long long>(row.pooled_rounds),
-        static_cast<unsigned long long>(row.rounds_executed),
-        row.serial_share,
-        row.max_single_leader_queue,
-        row.phases.generate, row.phases.inject, row.phases.begin,
-        row.phases.step, row.phases.flush, row.phases.finish,
-        row.phases.sample, row.phases.total,
-        static_cast<unsigned long long>(row.lanes.capacity_bytes),
-        static_cast<unsigned long long>(row.lanes.high_water_items),
-        static_cast<unsigned long long>(row.arena.reserved_bytes),
-        static_cast<unsigned long long>(row.arena.high_water_bytes),
-        static_cast<unsigned long long>(row.arena.resets),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
+  record.Write({{"bench", "parallel_rounds_phases"},
+                {"burst", burst}, {"rho", rho}, {"rounds", rounds},
+                {"repeat", repeat}},
+               rows);
   SSHARD_CHECK(all_identical &&
                "pipeline/worker_threads changed a SimResult — determinism "
                "bug");
@@ -657,34 +674,11 @@ int RunPhases(const Flags& flags) {
   return 0;
 }
 
-/// One side of the backpressure head-to-head: the SimResult plus the
-/// admission-control introspection (zero for plain fds).
-struct BackpressureRun {
-  core::SimResult result;
-  std::uint64_t deferred = 0;
-  std::uint64_t readmitted = 0;
-  std::uint64_t hot_transitions = 0;
-};
-
-BackpressureRun RunHotDestination(core::SimConfig config,
-                                  std::uint32_t workers,
-                                  bool pipeline = true) {
-  config.worker_threads = workers;
-  config.pipeline = pipeline;
-  core::Simulation sim(config);
-  sim.PoolEveryRound();  // the checks compare workers on every round
-  BackpressureRun run;
-  run.result = sim.Run();
-  if (const auto* backpressure =
-          dynamic_cast<const consensus::BackpressureScheduler*>(
-              &sim.scheduler())) {
-    run.deferred = backpressure->deferred_total();
-    run.readmitted = backpressure->readmitted_total();
-    run.hot_transitions = backpressure->hot_transitions();
-  }
-  return run;
-}
-
+/// The hot-destination load-shedding record: fds vs the backpressure
+/// wrapper on --strategy=hot_destination across Zipf exponents, under
+/// sustained overload with no one-shot burst (admission control cannot see
+/// a burst that lands before any traffic exists). The leader-queue peak
+/// must fall strictly below fds's at every theta >= 1.0.
 int RunBackpressure(const Flags& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   // Smoke needs enough rounds for the shedding to engage visibly: with the
@@ -704,36 +698,32 @@ int RunBackpressure(const Flags& flags) {
   // Same contract as simulate_cli: watermark typos are input errors
   // (exit 2), never reach the scheduler constructor's aborting check.
   if (!core::ValidateBackpressureWatermarks(bp_low, bp_high)) return 2;
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   // Sustained overload on the line topology, no one-shot burst: the
   // leader queue must build from steady Zipf-skewed arrivals for
   // injection-side shedding to have anything to shed.
-  core::SimConfig base;
-  base.scheduler = "fds";
-  base.topology = net::TopologyKind::kLine;
-  base.hierarchy = bench::HierarchyFor(base.topology);
-  base.shards = shards;
-  base.accounts = shards;
-  base.account_assignment = core::AccountAssignment::kRoundRobin;
-  base.k = 8;
+  core::SimConfig base =
+      DrainedConfig(net::TopologyKind::kLine, shards, seed);
   base.rho = rho;
   base.burst_round = kNoRound;
   base.strategy = "hot_destination";
   base.rounds = rounds;
-  base.drain_cap = 200000;
-  base.seed = seed;
   base.backpressure_high = bp_high;
   base.backpressure_low = bp_low;
 
-  const std::vector<double> thetas =
-      smoke ? std::vector<double>{1.2}
-            : std::vector<double>{0.0, 0.5, 1.0, 1.5};
+  // Under real skew (theta >= 1) the shedding must strictly cut the hot
+  // leader's queue peak; milder thetas are throughput no-regression cells.
+  std::vector<HeadToHeadCell> cells;
+  for (const double theta : smoke ? std::vector<double>{1.2}
+                                  : std::vector<double>{0.0, 0.5, 1.0, 1.5}) {
+    cells.push_back({"hot_destination", theta, base, theta >= 1.0, {}});
+    cells.back().config.zipf_theta = theta;
+  }
+  // The determinism spot check runs the highest theta, shortened.
+  core::SimConfig spot_check = cells.back().config;
+  spot_check.rounds = std::min<Round>(rounds, 300);
 
   std::printf(
       "parallel_rounds backpressure: fds vs backpressure (high=%llu "
@@ -741,123 +731,27 @@ int RunBackpressure(const Flags& flags) {
       static_cast<unsigned long long>(bp_high),
       static_cast<unsigned long long>(bp_low), shards, rho,
       static_cast<unsigned long long>(rounds));
-  std::printf("%6s %13s | %10s %10s %10s | %9s %10s %9s | %9s %8s\n",
-              "zipf", "scheduler", "ldrq_avg", "ldrq_peak", "spill_pk",
-              "deferred", "committed", "avg_lat", "p99_lat", "drained");
-
-  struct Row {
-    double theta = 0;
-    const char* scheduler = "";
-    BackpressureRun run;
-  };
-  std::vector<Row> rows;
-  bool all_ok = true;
-  bool peaks_below = true;
-  bool commits_match = true;
-  for (const double theta : thetas) {
-    core::SimConfig config = base;
-    config.zipf_theta = theta;
-    BackpressureRun fds_run, bp_run;
-    for (const char* scheduler : {"fds", "backpressure"}) {
-      config.scheduler = scheduler;
-      const BackpressureRun run = RunHotDestination(config, 1);
-      const core::SimResult& r = run.result;
-      const bool identity =
-          r.injected == r.committed + r.aborted + r.unresolved;
-      all_ok = all_ok && identity && r.drained && r.unresolved == 0;
-      std::printf(
-          "%6.2f %13s | %10.2f %10.1f %10llu | %9llu %10llu %9.1f | %9.0f "
-          "%8s\n",
-          theta, scheduler, r.avg_leader_queue, r.max_leader_queue,
-          static_cast<unsigned long long>(r.spill_peak),
-          static_cast<unsigned long long>(run.deferred),
-          static_cast<unsigned long long>(r.committed), r.avg_latency,
-          r.p99_latency, r.drained ? "yes" : "NO");
-      rows.push_back({theta, scheduler, run});
-      if (std::string(scheduler) == "fds") {
-        fds_run = run;
-      } else {
-        bp_run = run;
-      }
-    }
-    // The printed claim "commits exactly what fds commits" is asserted,
-    // not just recorded: both sides drain with zero aborts here, so any
-    // admission drop/duplication shows up as a committed mismatch.
-    commits_match =
-        commits_match && bp_run.result.committed == fds_run.result.committed;
-    // The acceptance bar: under real skew the shedding must strictly cut
-    // the hot leader's queue peak (milder thetas are throughput
-    // no-regression cells, though the gate still defers some admissions
-    // when the overloaded baseline crosses the watermarks).
-    if (theta >= 1.0) {
-      peaks_below = peaks_below && bp_run.result.max_leader_queue <
-                                       fds_run.result.max_leader_queue;
-    }
-  }
-
-  // Determinism spot-check at the highest theta: workers 1 vs 4, pipeline
-  // on and off, all bit-identical for the admission-control wrapper.
-  core::SimConfig config = base;
-  config.scheduler = "backpressure";
-  config.zipf_theta = thetas.back();
-  config.rounds = std::min<Round>(rounds, 300);
-  const BackpressureRun serial = RunHotDestination(config, 1);
-  const bool identical =
-      Identical(serial.result, RunHotDestination(config, 4, true).result) &&
-      Identical(serial.result, RunHotDestination(config, 4, false).result);
-
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_backpressure\",\n"
-               "  \"strategy\": \"hot_destination\",\n"
-               "  \"topology\": \"line\",\n"
-               "  \"shards\": %u,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"bp_high\": %llu,\n  \"bp_low\": %llu,\n"
-               "  \"workers_1_vs_4_pipeline_on_off_identical\": %s,\n"
-               "  \"rows\": [\n",
-               shards, rho, static_cast<unsigned long long>(rounds),
-               static_cast<unsigned long long>(bp_high),
-               static_cast<unsigned long long>(bp_low),
-               identical ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const core::SimResult& r = row.run.result;
-    std::fprintf(
-        json,
-        "    {\"zipf_theta\": %.2f, \"scheduler\": \"%s\",\n"
-        "     \"avg_leader_queue\": %.6f, \"max_leader_queue\": %.6f,\n"
-        "     \"spill_peak\": %llu, \"deferred\": %llu,\n"
-        "     \"readmitted\": %llu, \"hot_transitions\": %llu,\n"
-        "     \"injected\": %llu, \"committed\": %llu, \"aborted\": %llu,\n"
-        "     \"unresolved\": %llu, \"avg_latency\": %.6f,\n"
-        "     \"p99_latency\": %.6f, \"max_pending\": %llu,\n"
-        "     \"messages\": %llu, \"drained\": %s}%s\n",
-        row.theta, row.scheduler, r.avg_leader_queue, r.max_leader_queue,
-        static_cast<unsigned long long>(r.spill_peak),
-        static_cast<unsigned long long>(row.run.deferred),
-        static_cast<unsigned long long>(row.run.readmitted),
-        static_cast<unsigned long long>(row.run.hot_transitions),
-        static_cast<unsigned long long>(r.injected),
-        static_cast<unsigned long long>(r.committed),
-        static_cast<unsigned long long>(r.aborted),
-        static_cast<unsigned long long>(r.unresolved), r.avg_latency,
-        r.p99_latency, static_cast<unsigned long long>(r.max_pending),
-        static_cast<unsigned long long>(r.messages),
-        r.drained ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_ok &&
-               "a run broke the accounting identity or failed to drain");
-  SSHARD_CHECK(identical &&
-               "backpressure changed a SimResult across workers/pipeline — "
-               "determinism bug");
-  SSHARD_CHECK(commits_match &&
-               "backpressure committed a different count than fds — "
-               "admissions were lost or duplicated");
-  SSHARD_CHECK(peaks_below &&
-               "backpressure did not cut the leader-queue peak at "
-               "theta >= 1.0");
+  RunHeadToHead(
+      cells, spot_check,
+      {{"bench", "parallel_rounds_backpressure"},
+       {"strategy", "hot_destination"}, {"topology", "line"},
+       {"shards", shards}, {"rho", rho}, {"rounds", rounds},
+       {"bp_high", bp_high}, {"bp_low", bp_low}},
+      [](const HeadToHeadCell& cell, const TimedRun& run) -> Fields {
+        const core::SimResult& r = run.result;
+        return {{"zipf_theta", cell.theta}, {"scheduler", run.scheduler},
+                {"avg_leader_queue", r.avg_leader_queue},
+                {"max_leader_queue", r.max_leader_queue},
+                {"spill_peak", r.spill_peak}, {"deferred", run.deferred},
+                {"readmitted", run.readmitted},
+                {"hot_transitions", run.hot_transitions},
+                {"injected", r.injected}, {"committed", r.committed},
+                {"aborted", r.aborted}, {"unresolved", r.unresolved},
+                {"avg_latency", r.avg_latency}, {"p99_latency", r.p99_latency},
+                {"max_pending", r.max_pending}, {"messages", r.messages},
+                {"drained", r.drained}};
+      },
+      record);
   std::printf(
       "\nall runs drained with the accounting identity intact; "
       "backpressure bit-identical workers 1/4 x pipeline on/off; "
@@ -874,206 +768,76 @@ int RunBackpressure(const Flags& flags) {
   return 0;
 }
 
+/// The production-shaped workload record: the tracked tests/traces/
+/// fixtures — {diurnal, flash, migrating} x Zipf theta {0.8, 1.2},
+/// generated by tools/gen_trace.py — replayed open-loop through fds vs the
+/// backpressure wrapper. The migrating-skew handoff is the shape admission
+/// control has to chase, so its cells carry the peak cut, and the
+/// migrating theta 1.2 replay is the determinism spot check.
 int RunTraffic(const Flags& flags) {
-  const bool smoke = flags.GetBool("smoke", false);
   const std::string trace_dir = flags.GetString("trace-dir", "tests/traces");
   const std::uint64_t bp_high = flags.GetUint("bp-high", 48);
   const std::uint64_t bp_low = flags.GetUint("bp-low", 12);
   const std::string json_path = flags.GetString("json", "BENCH_traffic.json");
   if (!flags.FinishReads()) return 2;
   if (!core::ValidateBackpressureWatermarks(bp_low, bp_high)) return 2;
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
-  // The tracked fixtures (tools/gen_trace.py, tests/traces/): three
-  // production shapes x two Zipf skews, replayed open-loop through fds
-  // (backpressure off) and the admission-control wrapper (on). The smoke
-  // keeps the acceptance pair only — the migrating-skew handoff is the
-  // shape admission control has to chase, so that cell carries the
-  // peak-cutting assertion.
-  struct Cell {
+  const struct {
     const char* shape;
     const char* suffix;
     double theta;
-  };
-  const std::vector<Cell> cells =
-      smoke ? std::vector<Cell>{{"migrating", "t12", 1.2}}
-            : std::vector<Cell>{{"diurnal", "t08", 0.8},
-                                {"diurnal", "t12", 1.2},
-                                {"flash", "t08", 0.8},
-                                {"flash", "t12", 1.2},
-                                {"migrating", "t08", 0.8},
-                                {"migrating", "t12", 1.2}};
+  } fixtures[] = {{"diurnal", "t08", 0.8},   {"diurnal", "t12", 1.2},
+                  {"flash", "t08", 0.8},     {"flash", "t12", 1.2},
+                  {"migrating", "t08", 0.8}, {"migrating", "t12", 1.2}};
+  std::vector<HeadToHeadCell> cells;
+  for (const auto& [shape, suffix, theta] : fixtures) {
+    const std::string path =
+        trace_dir + "/" + shape + "_" + suffix + ".trace";
+    traffic::Trace trace;
+    std::string error;
+    if (!traffic::LoadTraceFile(path, &trace, &error)) {
+      std::fprintf(stderr, "invalid trace: %s (file \"%s\")\n", error.c_str(),
+                   path.c_str());
+      return 2;
+    }
+    core::SimConfig config =
+        DrainedConfig(net::TopologyKind::kLine, trace.shards, 42);
+    config.accounts = trace.accounts;
+    config.strategy = "trace_replay";
+    config.trace = path;
+    config.rounds =
+        trace.records.empty() ? 1 : trace.records.back().round + 1;
+    config.backpressure_high = bp_high;
+    config.backpressure_low = bp_low;
+    cells.push_back({shape, theta, config, std::string(shape) == "migrating",
+                     trace.records.size()});
+  }
 
   std::printf(
       "parallel_rounds traffic: open-loop trace replay, fds vs backpressure "
       "(high=%llu low=%llu), fixtures from %s\n\n",
       static_cast<unsigned long long>(bp_high),
       static_cast<unsigned long long>(bp_low), trace_dir.c_str());
-  std::printf("%10s %5s %13s | %8s %8s | %10s %10s %9s | %10s %8s\n",
-              "shape", "zipf", "scheduler", "offered", "injected", "ldrq_avg",
-              "ldrq_peak", "spill_pk", "committed", "drained");
-
-  struct Row {
-    Cell cell;
-    const char* scheduler = "";
-    BackpressureRun run;
-  };
-  std::vector<Row> rows;
-  std::string migrating_trace;
-  Round migrating_rounds = 0;
-  bool all_ok = true;
-  bool commits_match = true;
-  bool peaks_below = true;
-  for (const Cell& cell : cells) {
-    const std::string path = trace_dir + "/" + cell.shape + "_" +
-                             cell.suffix + ".trace";
-    traffic::Trace trace;
-    std::string error;
-    if (!traffic::LoadTraceFile(path, &trace, &error)) {
-      std::fprintf(stderr, "invalid trace: %s (file \"%s\")\n", error.c_str(),
-                   path.c_str());
-      std::fclose(json);
-      return 2;
-    }
-    core::SimConfig base;
-    base.scheduler = "fds";
-    base.topology = net::TopologyKind::kLine;
-    base.hierarchy = bench::HierarchyFor(base.topology);
-    base.shards = trace.shards;
-    base.accounts = trace.accounts;
-    base.account_assignment = core::AccountAssignment::kRoundRobin;
-    base.strategy = "trace_replay";
-    base.trace = path;
-    base.rounds =
-        trace.records.empty() ? 1 : trace.records.back().round + 1;
-    base.drain_cap = 200000;
-    base.seed = 42;
-    base.backpressure_high = bp_high;
-    base.backpressure_low = bp_low;
-
-    BackpressureRun fds_run, bp_run;
-    for (const char* scheduler : {"fds", "backpressure"}) {
-      core::SimConfig config = base;
-      config.scheduler = scheduler;
-      const BackpressureRun run = RunHotDestination(config, 1);
-      const core::SimResult& r = run.result;
-      const bool identity =
-          r.injected == r.committed + r.aborted + r.unresolved;
-      // Open-loop invariant: the whole trace was offered and, once the
-      // drain phase let the schedule finish, every offer was injected.
-      const bool replayed_all =
-          r.offered_txns == trace.records.size() &&
-          r.injected_txns == r.offered_txns && r.injected == r.offered_txns;
-      all_ok = all_ok && identity && replayed_all && r.drained &&
-               r.unresolved == 0;
-      std::printf(
-          "%10s %5.2f %13s | %8llu %8llu | %10.2f %10.1f %9llu | %10llu "
-          "%8s\n",
-          cell.shape, cell.theta, scheduler,
-          static_cast<unsigned long long>(r.offered_txns),
-          static_cast<unsigned long long>(r.injected_txns),
-          r.avg_leader_queue, r.max_leader_queue,
-          static_cast<unsigned long long>(r.spill_peak),
-          static_cast<unsigned long long>(r.committed),
-          r.drained ? "yes" : "NO");
-      rows.push_back({cell, scheduler, run});
-      if (std::string(scheduler) == "fds") {
-        fds_run = run;
-      } else {
-        bp_run = run;
-      }
-    }
-    // Same acceptance shape as --backpressure: shedding defers, it never
-    // drops — equal commits — and on the migrating handoff it must
-    // strictly cut the hot leader's queue peak.
-    commits_match =
-        commits_match && bp_run.result.committed == fds_run.result.committed;
-    if (std::string(cell.shape) == "migrating") {
-      peaks_below = peaks_below && bp_run.result.max_leader_queue <
-                                       fds_run.result.max_leader_queue;
-      migrating_trace = path;
-      migrating_rounds = base.rounds;
-    }
-  }
-
-  // Determinism spot-check on the migrating replay: the open-loop injector
-  // + trace schedule must be bit-identical across workers 1/4 x pipeline
-  // on/off, exactly like the closed loop.
-  core::SimConfig config;
-  config.scheduler = "backpressure";
-  config.topology = net::TopologyKind::kLine;
-  config.hierarchy = bench::HierarchyFor(config.topology);
-  config.shards = 32;
-  config.accounts = 32;
-  config.account_assignment = core::AccountAssignment::kRoundRobin;
-  config.strategy = "trace_replay";
-  config.trace = migrating_trace;
-  config.rounds = migrating_rounds;
-  config.drain_cap = 200000;
-  config.seed = 42;
-  config.backpressure_high = bp_high;
-  config.backpressure_low = bp_low;
-  const BackpressureRun serial = RunHotDestination(config, 1);
-  const bool identical =
-      Identical(serial.result, RunHotDestination(config, 4, true).result) &&
-      Identical(serial.result, RunHotDestination(config, 4, false).result);
-
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_traffic\",\n"
-               "  \"strategy\": \"trace_replay\",\n"
-               "  \"topology\": \"line\",\n"
-               "  \"bp_high\": %llu,\n  \"bp_low\": %llu,\n"
-               "  \"workers_1_vs_4_pipeline_on_off_identical\": %s,\n"
-               "  \"rows\": [\n",
-               static_cast<unsigned long long>(bp_high),
-               static_cast<unsigned long long>(bp_low),
-               identical ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const core::SimResult& r = row.run.result;
-    std::fprintf(
-        json,
-        "    {\"shape\": \"%s\", \"zipf_theta\": %.2f, "
-        "\"scheduler\": \"%s\",\n"
-        "     \"offered\": %llu, \"injected\": %llu, "
-        "\"inject_lag_peak\": %llu,\n"
-        "     \"avg_leader_queue\": %.6f, \"max_leader_queue\": %.6f,\n"
-        "     \"spill_peak\": %llu, \"deferred\": %llu,\n"
-        "     \"committed\": %llu, \"aborted\": %llu,\n"
-        "     \"avg_latency\": %.6f, \"p99_latency\": %.6f,\n"
-        "     \"drained\": %s}%s\n",
-        row.cell.shape, row.cell.theta, row.scheduler,
-        static_cast<unsigned long long>(r.offered_txns),
-        static_cast<unsigned long long>(r.injected_txns),
-        static_cast<unsigned long long>(r.inject_lag_peak),
-        r.avg_leader_queue, r.max_leader_queue,
-        static_cast<unsigned long long>(r.spill_peak),
-        static_cast<unsigned long long>(row.run.deferred),
-        static_cast<unsigned long long>(r.committed),
-        static_cast<unsigned long long>(r.aborted), r.avg_latency,
-        r.p99_latency, r.drained ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
-  SSHARD_CHECK(all_ok &&
-               "a replay broke the accounting identity, failed to drain, or "
-               "did not inject the whole trace");
-  SSHARD_CHECK(commits_match &&
-               "backpressure committed a different count than fds on the "
-               "same trace — admissions were lost or duplicated");
-  SSHARD_CHECK(peaks_below &&
-               "backpressure did not cut the leader-queue peak on the "
-               "migrating-skew trace");
-  SSHARD_CHECK(identical &&
-               "open-loop trace replay changed a SimResult across "
-               "workers/pipeline — determinism bug");
+  RunHeadToHead(
+      cells, cells.back().config,
+      {{"bench", "parallel_rounds_traffic"}, {"strategy", "trace_replay"},
+       {"topology", "line"}, {"bp_high", bp_high}, {"bp_low", bp_low}},
+      [](const HeadToHeadCell& cell, const TimedRun& run) -> Fields {
+        const core::SimResult& r = run.result;
+        return {{"shape", cell.shape}, {"zipf_theta", cell.theta},
+                {"scheduler", run.scheduler}, {"offered", r.offered_txns},
+                {"injected", r.injected_txns},
+                {"inject_lag_peak", r.inject_lag_peak},
+                {"avg_leader_queue", r.avg_leader_queue},
+                {"max_leader_queue", r.max_leader_queue},
+                {"spill_peak", r.spill_peak}, {"deferred", run.deferred},
+                {"committed", r.committed}, {"aborted", r.aborted},
+                {"avg_latency", r.avg_latency}, {"p99_latency", r.p99_latency},
+                {"drained", r.drained}};
+      },
+      record);
   std::printf(
       "\nall replays drained, injected their whole trace, and kept the "
       "accounting identity; backpressure commits exactly fds's counts and "
@@ -1087,25 +851,18 @@ int RunTraffic(const Flags& flags) {
   return 0;
 }
 
+/// The determinism contract of core/scheduler.h on small configs: every
+/// scheduler (bds and fds also with non-trivial leader fan-outs) must be
+/// worker-invariant, and three WAL cells must also leave the protocol
+/// outcome of the WAL-off run untouched.
 int RunCheck(const Flags& flags) {
   const auto rounds = static_cast<Round>(flags.GetUint("rounds", 300));
   const std::uint64_t seed = flags.GetUint("seed", 42);
   if (!flags.FinishReads()) return 2;
 
-  // Small configs, every scheduler: workers 1 vs 4 with the pipelined
-  // epilogue on and off must agree bit-for-bit. bds and fds also run with
-  // non-trivial leader fan-outs (the sharded-leader and multi-root modes).
-  const struct {
-    const char* scheduler;
-    std::uint32_t color_leaders;
-    std::uint32_t top_roots;
-  } cells[] = {{"bds", 1, 1},    {"bds", 4, 1},    {"fds", 1, 1},
-               {"fds", 1, 3},    {"direct", 1, 1}, {"backpressure", 1, 1}};
-  for (const auto& cell : cells) {
+  auto small_config = [&](const char* scheduler) {
     core::SimConfig config;
-    config.scheduler = cell.scheduler;
-    config.bds_color_leaders = cell.color_leaders;
-    config.fds_top_roots = cell.top_roots;
+    config.scheduler = scheduler;
     config.shards = 32;
     config.accounts = 32;
     config.k = 8;
@@ -1113,16 +870,24 @@ int RunCheck(const Flags& flags) {
     config.burstiness = 300;
     config.rounds = rounds;
     config.seed = seed;
-    config.topology = config.scheduler.rfind("bds", 0) == 0
-                          ? net::TopologyKind::kUniform
-                          : net::TopologyKind::kLine;
+    config.topology = config.scheduler == "bds" ? net::TopologyKind::kUniform
+                                                : net::TopologyKind::kLine;
     config.hierarchy = bench::HierarchyFor(config.topology);
+    return config;
+  };
 
+  const struct {
+    const char* scheduler;
+    std::uint32_t color_leaders;
+    std::uint32_t top_roots;
+  } cells[] = {{"bds", 1, 1},    {"bds", 4, 1},    {"fds", 1, 1},
+               {"fds", 1, 3},    {"direct", 1, 1}, {"backpressure", 1, 1}};
+  for (const auto& cell : cells) {
+    core::SimConfig config = small_config(cell.scheduler);
+    config.bds_color_leaders = cell.color_leaders;
+    config.fds_top_roots = cell.top_roots;
     const TimedRun serial = RunOnce(config, 1);
-    const TimedRun pipelined = RunOnce(config, 4, /*pipeline=*/true);
-    const TimedRun unpipelined = RunOnce(config, 4, /*pipeline=*/false);
-    const bool identical = Identical(serial.result, pipelined.result) &&
-                           Identical(serial.result, unpipelined.result);
+    const bool identical = WorkerInvariant(config, serial.result);
     std::printf("check %-13s: injected=%llu committed=%llu %s\n",
                 serial.scheduler.c_str(),
                 static_cast<unsigned long long>(serial.result.injected),
@@ -1134,34 +899,19 @@ int RunCheck(const Flags& flags) {
   }
 
   // WAL cells: with durability on (and a checkpoint cadence) but no fault
-  // plan, the run must stay bit-identical across workers/pipeline — the
-  // per-partition persist and serial durable callbacks included — and its
-  // protocol outcome must not move a bit relative to the WAL-off run of
-  // the same config (the WAL is write-only until a crash).
+  // plan, the run must stay worker-invariant — the per-partition persist
+  // and serial durable callbacks included — and its protocol outcome must
+  // not move a bit relative to the WAL-off run of the same config (the WAL
+  // is write-only until a crash).
   for (const char* scheduler : {"bds", "fds", "direct"}) {
-    core::SimConfig config;
-    config.scheduler = scheduler;
-    config.shards = 32;
-    config.accounts = 32;
-    config.k = 8;
-    config.rho = 0.2;
-    config.burstiness = 300;
-    config.rounds = rounds;
-    config.seed = seed;
-    config.topology = config.scheduler.rfind("bds", 0) == 0
-                          ? net::TopologyKind::kUniform
-                          : net::TopologyKind::kLine;
-    config.hierarchy = bench::HierarchyFor(config.topology);
-
+    core::SimConfig config = small_config(scheduler);
     const TimedRun off = RunOnce(config, 1);
     config.wal = true;
     config.checkpoint_interval = 50;
     const TimedRun serial = RunOnce(config, 1);
-    const TimedRun pipelined = RunOnce(config, 4, /*pipeline=*/true);
-    const TimedRun unpipelined = RunOnce(config, 4, /*pipeline=*/false);
-    const bool identical = Identical(serial.result, pipelined.result) &&
-                           Identical(serial.result, unpipelined.result);
-    const bool transparent = IdenticalProtocol(off.result, serial.result);
+    const bool identical = WorkerInvariant(config, serial.result);
+    const bool transparent =
+        core::FirstDifferingProtocolField(off.result, serial.result).empty();
     std::printf("check %-13s: wal_bytes=%llu checkpoints=%llu %s, %s\n",
                 scheduler,
                 static_cast<unsigned long long>(serial.result.wal_bytes),
@@ -1194,7 +944,7 @@ int RunCheck(const Flags& flags) {
 ///     freezes the protocol clock, so faults shift wall rounds only);
 ///   - rounds_executed(churn) == rounds_executed(fault-free) +
 ///     recovery_rounds, and the replay actually moved bytes;
-///   - the churn run is bit-identical across workers 1/4 x pipeline on/off.
+///   - the churn run is worker-invariant.
 int RunFaults(const Flags& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const auto shards =
@@ -1220,12 +970,8 @@ int RunFaults(const Flags& flags) {
   if (!core::ValidateFaults(faults, /*wal_enabled=*/true, shards, rounds)) {
     return 2;
   }
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 json_path.c_str());
-    return 2;
-  }
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   std::printf(
       "parallel_rounds faults: crash/recovery churn (faults=%s, ckpt=%llu) "
@@ -1236,29 +982,16 @@ int RunFaults(const Flags& flags) {
               "mode", "committed", "rounds", "drained", "wal_kb",
               "ckpts", "replay_b", "rec_rnds");
 
-  struct Row {
-    const char* scheduler = "";
-    const char* mode = "";
-    core::SimResult result;
-  };
-  std::vector<Row> rows;
+  std::vector<Fields> rows;
   bool all_ok = true;
   const std::pair<net::TopologyKind, const char*> cells[] = {
       {net::TopologyKind::kUniform, "bds"}, {net::TopologyKind::kLine, "fds"}};
   for (const auto& [topology, scheduler] : cells) {
-    core::SimConfig base;
+    core::SimConfig base = DrainedConfig(topology, shards, seed);
     base.scheduler = scheduler;
-    base.topology = topology;
-    base.hierarchy = bench::HierarchyFor(topology);
-    base.shards = shards;
-    base.accounts = shards;
-    base.account_assignment = core::AccountAssignment::kRoundRobin;
-    base.k = 8;
     base.rho = rho;
     base.burstiness = 300;
     base.rounds = rounds;
-    base.drain_cap = 200000;
-    base.seed = seed;
     base.wal = true;
     base.checkpoint_interval = checkpoint_interval;
 
@@ -1282,7 +1015,16 @@ int RunFaults(const Flags& flags) {
                   static_cast<unsigned long long>(r.recovery_rounds));
       all_ok = all_ok && r.drained && r.unresolved == 0 &&
                r.injected == r.committed + r.aborted;
-      rows.push_back({scheduler, mode, r});
+      rows.push_back({{"scheduler", scheduler},
+                      {"mode", mode}, {"injected", r.injected},
+                      {"committed", r.committed}, {"aborted", r.aborted},
+                      {"rounds_executed", r.rounds_executed},
+                      {"recovery_rounds", r.recovery_rounds},
+                      {"wal_bytes", r.wal_bytes},
+                      {"checkpoint_count", r.checkpoint_count},
+                      {"replay_bytes", r.replay_bytes},
+                      {"avg_latency", r.avg_latency},
+                      {"p99_latency", r.p99_latency}, {"drained", r.drained}});
     }
 
     const core::SimResult& c = clean.result;
@@ -1296,52 +1038,18 @@ int RunFaults(const Flags& flags) {
     SSHARD_CHECK(f.rounds_executed == c.rounds_executed + f.recovery_rounds &&
                  "wall-round accounting broke: churn rounds must be the "
                  "fault-free rounds plus the recovery stalls");
-
-    // The churn run itself must stay bit-identical across workers and
-    // epilogue modes: crash, replay and catch-up are driven from the
-    // serial section of the round loop, so the pool must not perturb them.
-    const bool identical =
-        Identical(faulted.result, RunOnce(churn, 4, true).result) &&
-        Identical(faulted.result, RunOnce(churn, 4, false).result);
-    SSHARD_CHECK(identical &&
+    // Crash, replay and catch-up are driven from the serial section of the
+    // round loop, so the pool must not perturb them.
+    SSHARD_CHECK(WorkerInvariant(churn, f) &&
                  "pipeline/worker_threads changed a churn SimResult — "
                  "determinism bug");
   }
 
-  std::fprintf(json,
-               "{\n  \"bench\": \"parallel_rounds_faults\",\n"
-               "  \"shards\": %u,\n  \"rho\": %.4f,\n  \"rounds\": %llu,\n"
-               "  \"checkpoint_interval\": %llu,\n  \"faults\": \"%s\",\n"
-               "  \"rows\": [\n",
-               shards, rho, static_cast<unsigned long long>(rounds),
-               static_cast<unsigned long long>(checkpoint_interval),
-               faults.c_str());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    const core::SimResult& r = row.result;
-    std::fprintf(
-        json,
-        "    {\"scheduler\": \"%s\", \"mode\": \"%s\",\n"
-        "     \"injected\": %llu, \"committed\": %llu, \"aborted\": %llu,\n"
-        "     \"rounds_executed\": %llu, \"recovery_rounds\": %llu,\n"
-        "     \"wal_bytes\": %llu, \"checkpoint_count\": %llu,\n"
-        "     \"replay_bytes\": %llu, \"avg_latency\": %.6f,\n"
-        "     \"p99_latency\": %.6f, \"drained\": %s}%s\n",
-        row.scheduler, row.mode,
-        static_cast<unsigned long long>(r.injected),
-        static_cast<unsigned long long>(r.committed),
-        static_cast<unsigned long long>(r.aborted),
-        static_cast<unsigned long long>(r.rounds_executed),
-        static_cast<unsigned long long>(r.recovery_rounds),
-        static_cast<unsigned long long>(r.wal_bytes),
-        static_cast<unsigned long long>(r.checkpoint_count),
-        static_cast<unsigned long long>(r.replay_bytes), r.avg_latency,
-        r.p99_latency, r.drained ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-
+  record.Write({{"bench", "parallel_rounds_faults"},
+                {"shards", shards}, {"rho", rho}, {"rounds", rounds},
+                {"checkpoint_interval", checkpoint_interval},
+                {"faults", faults}},
+               rows);
   SSHARD_CHECK(all_ok &&
                "a faults run broke the accounting identity or failed to "
                "drain");
@@ -1358,14 +1066,12 @@ int RunFaults(const Flags& flags) {
   return 0;
 }
 
-/// Drained diameter_span head-to-head: "fds" over the classic single-top
-/// hierarchy vs the multi-root one ("fds_multiroot") on the same
-/// seed/workload, small enough that both drain fully. With
-/// abort_probability = 0 everything injected commits, so equal committed
-/// counts prove the multi-root redirect loses and duplicates nothing; the
-/// root-leader imbalance bar (< 3x the mean) is the same acceptance
-/// criterion the s = 1024 grid rows enforce, checked here at ctest-smoke
-/// cost.
+/// Drained diameter_span head-to-head: fds over the classic single-top
+/// hierarchy vs the multi-root one on the same seed/workload, small enough
+/// that both drain fully. With abort_probability = 0 everything injected
+/// commits, so CompareRoots' equal committed counts prove the multi-root
+/// redirect loses and duplicates nothing; its imbalance bar is the one the
+/// s = 1024 grid pair enforces, checked here at ctest-smoke cost.
 int RunLeaderShare(const Flags& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const auto shards =
@@ -1381,20 +1087,14 @@ int RunLeaderShare(const Flags& flags) {
   // (exit 2), never an abort inside the hierarchy builder.
   if (!core::ValidateFdsTopRoots(roots)) return 2;
 
-  core::SimConfig base;
-  base.topology = net::TopologyKind::kLine;
-  base.hierarchy = bench::HierarchyFor(base.topology);
-  base.shards = shards;
-  base.accounts = shards;
-  base.account_assignment = core::AccountAssignment::kRoundRobin;
+  core::SimConfig base = DrainedConfig(net::TopologyKind::kLine, shards, seed);
+  base.scheduler = "fds";
   base.k = 4;
   base.rho = rho;
   base.burst_round = kNoRound;  // steady injection; the drain must finish
   base.strategy = "diameter_span";
   base.abort_probability = 0;  // drained + no aborts => committed == injected
   base.rounds = rounds;
-  base.drain_cap = 200000;
-  base.seed = seed;
 
   std::printf(
       "parallel_rounds leadershare: fds (single top root) vs fds_multiroot "
@@ -1404,57 +1104,39 @@ int RunLeaderShare(const Flags& flags) {
               "roots", "injected", "committed", "drained", "ldrs",
               "busiest%", "imbalance");
 
-  bool all_ok = true;
-  std::uint64_t committed[2] = {0, 0};
-  double imbalance[2] = {0, 0};
-  TimedRun runs[2];
-  for (std::size_t i = 0; i < 2; ++i) {
-    core::SimConfig config = base;
-    config.scheduler = "fds";
-    config.fds_top_roots = i == 0 ? 1 : roots;
-    runs[i] = RunOnce(config, 1);
-    const core::SimResult& r = runs[i].result;
-    all_ok = all_ok && r.drained && r.unresolved == 0 &&
-             r.injected == r.committed && r.aborted == 0;
-    committed[i] = r.committed;
-    imbalance[i] = RootLeaderImbalance(runs[i]);
-    std::uint64_t busiest = 0;
-    for (const std::uint64_t in : runs[i].root_leader_in) {
-      busiest = std::max(busiest, in);
-    }
-    std::printf("%14s %6u | %9llu %10llu %8s | %6zu %9.2f%% %9.2fx\n",
-                runs[i].scheduler.c_str(), config.fds_top_roots,
-                static_cast<unsigned long long>(r.injected),
-                static_cast<unsigned long long>(r.committed),
-                r.drained ? "yes" : "NO", runs[i].root_leader_in.size(),
-                r.messages > 0 ? 100.0 * static_cast<double>(busiest) /
-                                     static_cast<double>(r.messages)
-                               : 0.0,
-                imbalance[i]);
-
-    // Bit-identity across workers 1/4 x pipeline on/off for both modes:
-    // the leader-sharding fix must not loosen the determinism contract.
-    const bool identical =
-        Identical(runs[i].result, RunOnce(config, 4, true).result) &&
-        Identical(runs[i].result, RunOnce(config, 4, false).result);
-    SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a SimResult — determinism "
-                 "bug");
-  }
-
-  SSHARD_CHECK(all_ok &&
-               "a leadershare run failed to drain everything it injected");
-  SSHARD_CHECK(committed[0] == committed[1] &&
-               "multi-root hierarchy changed the committed count — the "
-               "redirect lost or duplicated admissions");
-  SSHARD_CHECK(imbalance[1] < 3.0 &&
-               "busiest top-root leader above 3x the mean root-leader "
-               "share — the multi-root spread regressed");
+  const auto [one_root, multiroot] = CompareRoots(
+      base, roots, [](const core::SimConfig& config) {
+        TimedRun run = RunOnce(config, 1);
+        const core::SimResult& r = run.result;
+        std::uint64_t busiest = 0;
+        for (const std::uint64_t in : run.root_leader_in) {
+          busiest = std::max(busiest, in);
+        }
+        std::printf("%14s %6u | %9llu %10llu %8s | %6zu %9.2f%% %9.2fx\n",
+                    run.scheduler.c_str(), config.fds_top_roots,
+                    static_cast<unsigned long long>(r.injected),
+                    static_cast<unsigned long long>(r.committed),
+                    r.drained ? "yes" : "NO", run.root_leader_in.size(),
+                    r.messages > 0 ? 100.0 * static_cast<double>(busiest) /
+                                         static_cast<double>(r.messages)
+                                   : 0.0,
+                    RootLeaderImbalance(run));
+        SSHARD_CHECK(r.drained && r.unresolved == 0 &&
+                     r.injected == r.committed && r.aborted == 0 &&
+                     "a leadershare run failed to drain everything it "
+                     "injected");
+        // The leader-sharding fix must not loosen the determinism contract.
+        SSHARD_CHECK(WorkerInvariant(config, r) &&
+                     "pipeline/worker_threads changed a SimResult — "
+                     "determinism bug");
+        return run;
+      });
   std::printf(
       "\nboth modes drained and committed %llu identically; multi-root "
       "busiest root leader at %.2fx the mean (bar: < 3x); bit-identical "
       "across workers 1/4 x pipeline on/off\n",
-      static_cast<unsigned long long>(committed[0]), imbalance[1]);
+      static_cast<unsigned long long>(one_root.result.committed),
+      RootLeaderImbalance(multiroot));
   return 0;
 }
 

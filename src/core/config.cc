@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
@@ -158,5 +159,66 @@ bool ValidateTraceConfig(const std::string& trace, const std::string& strategy,
   }
   return true;
 }
+
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+template <typename T>
+bool SameBits(T a, T b) {
+  return a == b;
+}
+
+}  // namespace
+
+// A new SimResult field changes its size and stops the build here: add the
+// field to one of the lists below, then update the size. The repository
+// benchmark keeps its own copy of the list (perfbench/traced_loop.cc,
+// ResultsIdentical): its sources stay fixed so its runs compare across
+// commits.
+static_assert(sizeof(SimResult) == 200,
+              "SimResult changed: name the new field in the comparison");
+
+#define SSHARD_FIRST_DIFFERENCE(field) \
+  if (!SameBits(a.field, b.field)) return #field
+
+std::string_view FirstDifferingProtocolField(const SimResult& a,
+                                             const SimResult& b) {
+  SSHARD_FIRST_DIFFERENCE(avg_pending_per_shard);
+  SSHARD_FIRST_DIFFERENCE(avg_latency);
+  SSHARD_FIRST_DIFFERENCE(max_latency);
+  SSHARD_FIRST_DIFFERENCE(p50_latency);
+  SSHARD_FIRST_DIFFERENCE(p99_latency);
+  SSHARD_FIRST_DIFFERENCE(avg_leader_queue);
+  SSHARD_FIRST_DIFFERENCE(max_leader_queue);
+  SSHARD_FIRST_DIFFERENCE(max_single_leader_queue);
+  SSHARD_FIRST_DIFFERENCE(injected);
+  SSHARD_FIRST_DIFFERENCE(committed);
+  SSHARD_FIRST_DIFFERENCE(aborted);
+  SSHARD_FIRST_DIFFERENCE(unresolved);
+  SSHARD_FIRST_DIFFERENCE(max_pending);
+  SSHARD_FIRST_DIFFERENCE(spill_peak);
+  SSHARD_FIRST_DIFFERENCE(messages);
+  SSHARD_FIRST_DIFFERENCE(payload_units);
+  SSHARD_FIRST_DIFFERENCE(offered_txns);
+  SSHARD_FIRST_DIFFERENCE(injected_txns);
+  SSHARD_FIRST_DIFFERENCE(inject_lag_peak);
+  SSHARD_FIRST_DIFFERENCE(rounds_executed);
+  SSHARD_FIRST_DIFFERENCE(drained);
+  return "";
+}
+
+std::string_view FirstDifferingField(const SimResult& a, const SimResult& b) {
+  const std::string_view protocol = FirstDifferingProtocolField(a, b);
+  if (!protocol.empty()) return protocol;
+  SSHARD_FIRST_DIFFERENCE(wal_bytes);
+  SSHARD_FIRST_DIFFERENCE(checkpoint_count);
+  SSHARD_FIRST_DIFFERENCE(replay_bytes);
+  SSHARD_FIRST_DIFFERENCE(recovery_rounds);
+  return "";
+}
+
+#undef SSHARD_FIRST_DIFFERENCE
 
 }  // namespace stableshard::core

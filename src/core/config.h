@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "chain/ops.h"
 #include "common/types.h"
@@ -303,5 +304,16 @@ struct SimResult {
   Round rounds_executed = 0;
   bool drained = false;  ///< drain phase reached Idle()
 };
+
+/// The bit-identity contract, one field list for every caller: the name of
+/// the first SimResult field where `a` and `b` differ, or "" when none
+/// does. Doubles compare by bits, so 0.1 + 0.2 computed in another order
+/// is a difference. FirstDifferingProtocolField skips the durability
+/// counters (wal_bytes, checkpoint_count, replay_bytes, recovery_rounds):
+/// it is what a WAL-on fault-free run must share with the WAL-off run,
+/// since the WAL is write-only until a crash.
+std::string_view FirstDifferingProtocolField(const SimResult& a,
+                                             const SimResult& b);
+std::string_view FirstDifferingField(const SimResult& a, const SimResult& b);
 
 }  // namespace stableshard::core

@@ -2,6 +2,8 @@
 // runner, time-series recording, and commit-ledger wiring.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/experiment.h"
 #include "sim_test_util.h"
 
@@ -121,6 +123,28 @@ TEST(Engine, SmallGridThresholdFallsBackToSerial) {
 
   test::ExpectBitIdenticalResults(fallback_result, serial_result);
   test::ExpectBitIdenticalResults(pooled_result, serial_result);
+}
+
+// The bit-identity contract compares doubles by bits and names the first
+// differing field; the protocol subset ignores the durability counters.
+TEST(SimResultComparison, NamesTheFirstFieldThatDiffersByBits) {
+  core::SimResult a;
+  a.avg_latency = 0.3;
+  a.committed = 7;
+  core::SimResult b = a;
+  EXPECT_EQ(core::FirstDifferingField(a, b), "");
+  b.avg_latency = std::nextafter(a.avg_latency, 1.0);  // one ULP off
+  b.committed = 8;
+  EXPECT_EQ(core::FirstDifferingField(a, b), "avg_latency");
+  b.avg_latency = a.avg_latency;
+  EXPECT_EQ(core::FirstDifferingProtocolField(a, b), "committed");
+  b = a;
+  b.max_latency = -0.0;  // equal to 0.0 as a value, not as bits
+  EXPECT_EQ(core::FirstDifferingField(a, b), "max_latency");
+  b = a;
+  b.wal_bytes = 1;
+  EXPECT_EQ(core::FirstDifferingProtocolField(a, b), "");
+  EXPECT_EQ(core::FirstDifferingField(a, b), "wal_bytes");
 }
 
 TEST(Engine, SeriesRecording) {

@@ -47,47 +47,23 @@ inline core::SimResult RunWithWorkers(core::SimConfig config,
   return sim.Run();
 }
 
-/// Protocol-outcome fields equal; doubles bit-for-bit. This is the subset
-/// a WAL-enabled fault-free run must share with a WAL-off run (the WAL is
-/// write-only until a crash, so only the durability counters may differ);
-/// same-config comparisons use ExpectBitIdenticalResults below.
+/// Protocol-outcome fields equal, doubles bit-for-bit
+/// (core::FirstDifferingProtocolField): what a WAL-enabled fault-free run
+/// must share with a WAL-off run; same-config comparisons use
+/// ExpectBitIdenticalResults below. A failure names the first differing
+/// field.
 inline void ExpectBitIdenticalProtocol(const core::SimResult& a,
                                        const core::SimResult& b) {
-  EXPECT_EQ(a.injected, b.injected);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.aborted, b.aborted);
-  EXPECT_EQ(a.unresolved, b.unresolved);
-  EXPECT_EQ(a.max_pending, b.max_pending);
-  EXPECT_EQ(a.spill_peak, b.spill_peak);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.payload_units, b.payload_units);
-  EXPECT_EQ(a.rounds_executed, b.rounds_executed);
-  EXPECT_EQ(a.drained, b.drained);
-  EXPECT_EQ(a.offered_txns, b.offered_txns);
-  EXPECT_EQ(a.injected_txns, b.injected_txns);
-  EXPECT_EQ(a.inject_lag_peak, b.inject_lag_peak);
-  EXPECT_DOUBLE_EQ(a.avg_pending_per_shard, b.avg_pending_per_shard);
-  EXPECT_DOUBLE_EQ(a.avg_leader_queue, b.avg_leader_queue);
-  EXPECT_DOUBLE_EQ(a.max_leader_queue, b.max_leader_queue);
-  EXPECT_DOUBLE_EQ(a.max_single_leader_queue, b.max_single_leader_queue);
-  EXPECT_DOUBLE_EQ(a.avg_latency, b.avg_latency);
-  EXPECT_DOUBLE_EQ(a.max_latency, b.max_latency);
-  EXPECT_DOUBLE_EQ(a.p50_latency, b.p50_latency);
-  EXPECT_DOUBLE_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(core::FirstDifferingProtocolField(a, b), "");
 }
 
-/// Every SimResult field equal; doubles bit-for-bit — the parallel path
-/// performs the exact same arithmetic in the exact same order, so
-/// worker_threads must never perturb a single bit of the outcome. The
-/// durability counters are part of the contract: the WAL persists and the
-/// fault plan replays identically whatever the worker count.
+/// Every SimResult field equal, doubles bit-for-bit
+/// (core::FirstDifferingField) — the parallel path performs the exact same
+/// arithmetic in the exact same order, so worker_threads must never
+/// perturb a single bit of the outcome, the durability counters included.
 inline void ExpectBitIdenticalResults(const core::SimResult& a,
                                       const core::SimResult& b) {
-  ExpectBitIdenticalProtocol(a, b);
-  EXPECT_EQ(a.wal_bytes, b.wal_bytes);
-  EXPECT_EQ(a.checkpoint_count, b.checkpoint_count);
-  EXPECT_EQ(a.replay_bytes, b.replay_bytes);
-  EXPECT_EQ(a.recovery_rounds, b.recovery_rounds);
+  EXPECT_EQ(core::FirstDifferingField(a, b), "");
 }
 
 /// Invariants every scheduler must satisfy after a drained run:
