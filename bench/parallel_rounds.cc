@@ -1,9 +1,9 @@
 // Shard-parallel round-loop bench. Every mode runs on one small core:
 // RunOnce (a timed run plus its introspection), WorkerInvariant (workers 4
-// with the pipelined epilogue on and off must match the serial run bit for
-// bit), Record (the BENCH_*.json writer), RunHeadToHead (fds vs the
-// backpressure wrapper over a list of cells) and CompareRoots (fds over one
-// top root vs several).
+// with every round pooled must match the serial run bit for bit), Record
+// (the BENCH_*.json writer), RunHeadToHead (fds vs the backpressure wrapper
+// over a list of cells) and CompareRoots (fds over one top root vs
+// several).
 //
 //   mode            record                   runs
 //   (default)       -                        one config on workers 1, 2, 4
@@ -11,8 +11,8 @@
 //   --check         -                        every scheduler, 3 WAL cells
 //   --grid          BENCH_scaling.json       s up to 1024 on 3 topologies,
 //                                            diameter_span root pair
-//   --phases        BENCH_pipeline.json      per-phase split, pipeline
-//                                            off/on, best of 5 runs
+//   --phases        BENCH_pipeline.json      per-phase split and paired
+//                                            speedup over 5 sweeps
 //   --leadershare   -                        drained fds, 1 vs --roots roots
 //   --faults        BENCH_recovery.json      crash churn vs fault-free
 //   --backpressure  BENCH_backpressure.json  fds vs backpressure, Zipf skew
@@ -78,9 +78,8 @@ struct TimedRun {
 enum class Fanout { kGated, kEveryRound };
 
 TimedRun RunOnce(core::SimConfig config, std::uint32_t workers,
-                 bool pipeline = true, Fanout fanout = Fanout::kEveryRound) {
+                 Fanout fanout = Fanout::kEveryRound) {
   config.worker_threads = workers;
-  config.pipeline = pipeline;
   core::Simulation sim(config);
   if (fanout == Fanout::kEveryRound) sim.PoolEveryRound();
   TimedRun timed;
@@ -146,24 +145,18 @@ bool Identical(const core::SimResult& a, const core::SimResult& b) {
 }
 
 /// The worker-invariance check every mode shares: `config` on 4 workers,
-/// every round pooled, with the pipelined epilogue on and then off, must
-/// reproduce `serial` (its workers = 1 result) bit for bit. Names the first
-/// differing field on stderr when it does not.
+/// every round pooled, must reproduce `serial` (its workers = 1 result)
+/// bit for bit. Names the first differing field on stderr when it does
+/// not.
 bool WorkerInvariant(const core::SimConfig& config,
                      const core::SimResult& serial) {
-  for (const bool pipeline : {true, false}) {
-    const std::string_view field =
-        core::FirstDifferingField(serial, RunOnce(config, 4, pipeline).result);
-    if (!field.empty()) {
-      std::fprintf(stderr,
-                   "workers 4, pipeline %s: SimResult.%.*s differs from the "
-                   "serial run\n",
-                   pipeline ? "on" : "off", static_cast<int>(field.size()),
-                   field.data());
-      return false;
-    }
-  }
-  return true;
+  const std::string_view field =
+      core::FirstDifferingField(serial, RunOnce(config, 4).result);
+  if (field.empty()) return true;
+  std::fprintf(stderr,
+               "workers 4: SimResult.%.*s differs from the serial run\n",
+               static_cast<int>(field.size()), field.data());
+  return false;
 }
 
 /// One named value of a record header or row, rendered as JSON: booleans
@@ -285,7 +278,7 @@ struct HeadToHeadCell {
 using HeadToHeadFields = Fields (*)(const HeadToHeadCell&, const TimedRun&);
 
 /// fds vs the backpressure admission-control wrapper on every cell, then the
-/// backpressure side of `spot_check` on workers 1 vs 4 x pipeline on/off.
+/// backpressure side of `spot_check` on workers 1 vs 4.
 /// Writes `record` (`header`, the spot check's identity flag, and one
 /// `row_fields` row per run) and asserts: every run drains with the
 /// accounting identity (and a replay injects its whole trace), both sides
@@ -343,6 +336,8 @@ void RunHeadToHead(const std::vector<HeadToHeadCell>& cells,
   spot_check.scheduler = "backpressure";
   const bool identical =
       WorkerInvariant(spot_check, RunOnce(spot_check, 1).result);
+  // The key names the retired pipeline switch; it stays so the tracked
+  // records keep their bytes.
   header.emplace_back("workers_1_vs_4_pipeline_on_off_identical", identical);
   record.Write(header, rows);
 
@@ -356,7 +351,7 @@ void RunHeadToHead(const std::vector<HeadToHeadCell>& cells,
                "backpressure did not cut the leader-queue peak on a cell "
                "that requires it");
   SSHARD_CHECK(identical &&
-               "backpressure changed a SimResult across workers/pipeline — "
+               "backpressure changed a SimResult across workers — "
                "determinism bug");
 }
 
@@ -430,8 +425,7 @@ int RunGrid(const Flags& flags) {
   bool all_identical = true;
   auto run_cell = [&](const core::SimConfig& config) {
     const TimedRun serial = RunOnce(config, 1);
-    TimedRun parallel =
-        RunOnce(config, workers, /*pipeline=*/true, Fanout::kGated);
+    TimedRun parallel = RunOnce(config, workers, Fanout::kGated);
     const bool identical = Identical(serial.result, parallel.result);
     all_identical = all_identical && identical;
     const double speedup =
@@ -512,11 +506,13 @@ int RunGrid(const Flags& flags) {
   return 0;
 }
 
-/// The pipelined-epilogue before/after: generate / inject / BeginRound /
-/// StepShard / flush / finish / sample timed separately, with the pipeline
-/// off (the one-partition EndRound) and on (destination-partitioned flush
-/// overlapped with next-round generation). Runs go through the engine's
-/// per-round gate and each row reports how many rounds it fanned out.
+/// The per-phase split: generate / inject / BeginRound / StepShard /
+/// flush / finish / sample timed separately for each (cell, workers) run,
+/// through the engine's per-round gate; each row reports how many rounds
+/// the gate fanned out. Speedups are paired: each whole-sweep repetition
+/// divides the cell's workers = 1 time by the run's time, and the row
+/// reports the median of those ratios and how many repetitions ran faster
+/// than the baseline.
 int RunPhases(const Flags& flags) {
   const bool smoke = flags.GetBool("smoke", false);
   const auto rounds =
@@ -543,15 +539,15 @@ int RunPhases(const Flags& flags) {
       {net::TopologyKind::kUniform, "bds"}, {net::TopologyKind::kLine, "fds"}};
 
   std::printf(
-      "parallel_rounds phases: per-round wall-clock split, pipelined "
-      "epilogue off (\"before\": serial EndRound) vs on (\"after\": "
-      "destination-partitioned flush + overlapped generation); best of "
-      "%u runs per cell\n\n",
+      "parallel_rounds phases: per-round wall-clock split; pooled rounds "
+      "drain the flush destination-partitioned and overlap next-round "
+      "generation; speedup = median over %u sweeps of each sweep's "
+      "workers = 1 time / this run's time\n\n",
       repeat);
   std::printf(
-      "%6s %8s %5s %7s %8s | %8s %8s | %8s %8s %8s %8s | %8s | %8s\n", "s",
-      "topology", "sched", "workers", "pipeline", "seconds", "speedup",
-      "step_s", "flush_s", "finish_s", "serial%", "pooled", "identical");
+      "%6s %8s %5s %7s | %8s %8s %5s | %8s %8s %8s %8s | %8s | %8s\n", "s",
+      "topology", "sched", "workers", "seconds", "speedup", "wins", "step_s",
+      "flush_s", "finish_s", "serial%", "pooled", "identical");
 
   // One untimed pooled run first. Once a process has started a thread,
   // glibc keeps its locked multi-thread malloc paths for good, which made
@@ -563,20 +559,19 @@ int RunPhases(const Flags& flags) {
         {cells[0].first, cells[0].second, sizes.front()}, rho, burst, rounds,
         radius);
     warm.seed = seed;
-    RunOnce(warm, worker_grid.back(), /*pipeline=*/true, Fanout::kEveryRound);
+    RunOnce(warm, worker_grid.back());
   }
 
-  // Every (cell, workers, pipeline) run, in sweep order. The repetitions
-  // are whole sweeps, so a slow stretch of the host lands on every cell of
-  // one sweep rather than on all repetitions of one cell; each run keeps
-  // its fastest repetition, and every repetition must match its cell's
-  // workers = 1 result.
+  // Every (cell, workers) run, in sweep order. The repetitions are whole
+  // sweeps, so a slow stretch of the host lands on every cell of one sweep
+  // rather than on all repetitions of one cell, and each run is paired
+  // with its cell's workers = 1 run of the same sweep. Every repetition
+  // must match its cell's workers = 1 result.
   struct PhasesRun {
     core::SimConfig config;
     std::uint32_t workers = 1;
-    bool pipeline = true;
     std::size_t baseline = 0;  ///< index of the cell's workers = 1 run
-    TimedRun best;
+    std::vector<TimedRun> reps;
     bool identical = true;
   };
   std::vector<PhasesRun> runs;
@@ -587,38 +582,45 @@ int RunPhases(const Flags& flags) {
       config.seed = seed;
       const std::size_t baseline = runs.size();
       for (const std::uint32_t workers : worker_grid) {
-        // workers = 1 has no pool, so the pipeline flag is moot: run it
-        // once as the shared baseline.
-        for (const bool pipeline : {false, true}) {
-          if (workers == 1 && !pipeline) continue;
-          runs.push_back({config, workers, pipeline, baseline, {}, true});
-        }
+        runs.push_back({config, workers, baseline, {}, true});
       }
     }
   }
   for (std::uint32_t rep = 0; rep < repeat; ++rep) {
     for (PhasesRun& run : runs) {
-      TimedRun timed =
-          RunOnce(run.config, run.workers, run.pipeline, Fanout::kGated);
-      const PhasesRun& base = runs[run.baseline];
-      if (&base != &run || rep > 0) {
-        run.identical =
-            run.identical && Identical(base.best.result, timed.result);
-      }
-      if (rep == 0 || timed.seconds < run.best.seconds) {
-        run.best = std::move(timed);
-      }
+      run.reps.push_back(RunOnce(run.config, run.workers, Fanout::kGated));
+      const TimedRun& base = runs[run.baseline].reps.front();
+      run.identical =
+          run.identical && Identical(base.result, run.reps.back().result);
     }
   }
 
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid]
+                                  : (values[mid - 1] + values[mid]) / 2;
+  };
   std::vector<Fields> rows;
   bool all_identical = true;
   for (const PhasesRun& run : runs) {
-    const TimedRun& timed = run.best;
+    const std::vector<TimedRun>& base = runs[run.baseline].reps;
+    std::vector<double> seconds, ratios;
+    std::uint32_t faster_reps = 0;
+    for (std::uint32_t rep = 0; rep < repeat; ++rep) {
+      const double t = run.reps[rep].seconds;
+      const double ratio = t > 0 ? base[rep].seconds / t : 0.0;
+      seconds.push_back(t);
+      ratios.push_back(ratio);
+      faster_reps += ratio > 1.0 ? 1 : 0;
+    }
+    const double speedup = median(ratios);
+    // The phase columns come from the repetition with the median time.
+    const double median_seconds = median(seconds);
+    const TimedRun& timed = *std::find_if(
+        run.reps.begin(), run.reps.end(),
+        [&](const TimedRun& r) { return r.seconds >= median_seconds; });
     const core::PhaseTimes& phases = timed.phases;
-    const double baseline_seconds = runs[run.baseline].best.seconds;
-    const double speedup =
-        timed.seconds > 0 ? baseline_seconds / timed.seconds : 0.0;
     const std::string topology = net::TopologyName(run.config.topology);
     all_identical = all_identical && run.identical;
     // The smoke's burst is sized to reach the gate: a multi-worker cell
@@ -627,19 +629,18 @@ int RunPhases(const Flags& flags) {
                  "phases smoke: a multi-worker cell ran no pooled round");
 
     std::printf(
-        "%6u %8s %5s %7u %8s | %8.3f %7.2fx | %8.3f %8.3f %8.3f "
+        "%6u %8s %5s %7u | %8.3f %7.2fx %5u | %8.3f %8.3f %8.3f "
         "%7.1f%% | %8llu | %8s\n",
         run.config.shards, topology.c_str(), run.config.scheduler.c_str(),
-        run.workers, run.workers == 1 ? "n/a" : (run.pipeline ? "on" : "off"),
-        timed.seconds, speedup, phases.step, phases.flush, phases.finish,
-        100.0 * SerialShare(phases),
+        run.workers, timed.seconds, speedup, faster_reps, phases.step,
+        phases.flush, phases.finish, 100.0 * SerialShare(phases),
         static_cast<unsigned long long>(timed.pooled_rounds),
         run.identical ? "yes" : "NO");
     rows.push_back(
         {{"s", run.config.shards}, {"topology", topology},
          {"scheduler", run.config.scheduler}, {"workers", run.workers},
-         {"pipeline", run.pipeline}, {"seconds", timed.seconds},
-         {"speedup", speedup}, {"identical", run.identical},
+         {"seconds", timed.seconds}, {"speedup", speedup},
+         {"faster_reps", faster_reps}, {"identical", run.identical},
          {"pooled_rounds", timed.pooled_rounds},
          {"rounds_executed", timed.result.rounds_executed},
          {"serial_share", SerialShare(phases)},
@@ -661,15 +662,14 @@ int RunPhases(const Flags& flags) {
                 {"repeat", repeat}},
                rows);
   SSHARD_CHECK(all_identical &&
-               "pipeline/worker_threads changed a SimResult — determinism "
-               "bug");
+               "worker_threads changed a SimResult — determinism bug");
   std::printf(
-      "\nall %zu runs bit-identical across worker counts and pipeline "
-      "modes; table written to %s\n"
-      "Reading: with the pipeline off, EndRound's flush is the serial "
-      "finish_s column; with it on, that work moves into flush_s — a "
-      "pool-partitioned window that also hides next-round generation — so "
-      "the serial share (everything outside step_s + flush_s) drops.\n",
+      "\nall %zu runs bit-identical across worker counts; table written to "
+      "%s\n"
+      "Reading: a serial round's EndRound flush is in finish_s; a pooled "
+      "round moves that work into flush_s — a pool-partitioned window that "
+      "also hides next-round generation — so the serial share (everything "
+      "outside step_s + flush_s) drops as more rounds pool.\n",
       rows.size(), json_path.c_str());
   return 0;
 }
@@ -754,7 +754,7 @@ int RunBackpressure(const Flags& flags) {
       record);
   std::printf(
       "\nall runs drained with the accounting identity intact; "
-      "backpressure bit-identical workers 1/4 x pipeline on/off; "
+      "backpressure bit-identical workers 1/4; "
       "leader-queue peak strictly below fds at every theta >= 1.0; "
       "table written to %s\n"
       "Reading: every cell commits exactly what fds commits — shedding "
@@ -842,7 +842,7 @@ int RunTraffic(const Flags& flags) {
       "\nall replays drained, injected their whole trace, and kept the "
       "accounting identity; backpressure commits exactly fds's counts and "
       "cuts the migrating-skew leader-queue peak; open-loop replay "
-      "bit-identical workers 1/4 x pipeline on/off; table written to %s\n"
+      "bit-identical workers 1/4; table written to %s\n"
       "Reading: the trace is the arrival schedule — offered == injected on "
       "every row because arrivals continue through the drain phase until "
       "the schedule is exhausted, so shedding shows up as admission "
@@ -894,7 +894,7 @@ int RunCheck(const Flags& flags) {
                 static_cast<unsigned long long>(serial.result.committed),
                 identical ? "identical" : "MISMATCH");
     SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a SimResult — determinism "
+                 "worker_threads changed a SimResult — determinism "
                  "bug");
   }
 
@@ -919,7 +919,7 @@ int RunCheck(const Flags& flags) {
                 identical ? "identical" : "MISMATCH",
                 transparent ? "wal-transparent" : "WAL PERTURBED PROTOCOL");
     SSHARD_CHECK(identical &&
-                 "pipeline/worker_threads changed a WAL-enabled SimResult — "
+                 "worker_threads changed a WAL-enabled SimResult — "
                  "determinism bug");
     SSHARD_CHECK(transparent &&
                  "enabling the WAL changed a protocol outcome — durability "
@@ -929,7 +929,7 @@ int RunCheck(const Flags& flags) {
                  "WAL cell persisted nothing — the check is vacuous");
   }
   std::printf("determinism check passed (6 scheduler configurations plus 3 "
-              "WAL cells, workers 1 vs 4, pipeline on/off)\n");
+              "WAL cells, workers 1 vs 4)\n");
   return 0;
 }
 
@@ -1041,7 +1041,7 @@ int RunFaults(const Flags& flags) {
     // Crash, replay and catch-up are driven from the serial section of the
     // round loop, so the pool must not perturb them.
     SSHARD_CHECK(WorkerInvariant(churn, f) &&
-                 "pipeline/worker_threads changed a churn SimResult — "
+                 "worker_threads changed a churn SimResult — "
                  "determinism bug");
   }
 
@@ -1056,7 +1056,7 @@ int RunFaults(const Flags& flags) {
   std::printf(
       "\nboth schedulers recovered: churn commits exactly the fault-free "
       "counts, wall rounds = fault-free + recovery stalls, bit-identical "
-      "across workers 1/4 x pipeline on/off; table written to %s\n"
+      "across workers 1/4; table written to %s\n"
       "Reading: the engine froze the protocol clock through each outage "
       "(stall-the-world), replayed the crashed shard from checkpoint + WAL "
       "and checked the restored image bit-identical to the pre-crash "
@@ -1127,14 +1127,14 @@ int RunLeaderShare(const Flags& flags) {
                      "injected");
         // The leader-sharding fix must not loosen the determinism contract.
         SSHARD_CHECK(WorkerInvariant(config, r) &&
-                     "pipeline/worker_threads changed a SimResult — "
+                     "worker_threads changed a SimResult — "
                      "determinism bug");
         return run;
       });
   std::printf(
       "\nboth modes drained and committed %llu identically; multi-root "
       "busiest root leader at %.2fx the mean (bar: < 3x); bit-identical "
-      "across workers 1/4 x pipeline on/off\n",
+      "across workers 1/4\n",
       static_cast<unsigned long long>(one_root.result.committed),
       RootLeaderImbalance(multiroot));
   return 0;
@@ -1178,7 +1178,7 @@ int RunSingle(const Flags& flags) {
   double best_speedup = 1.0;
   for (std::uint32_t workers = 2; workers <= max_workers; workers *= 2) {
     const TimedRun timed =
-        RunOnce(config, workers, /*pipeline=*/true, Fanout::kGated);
+        RunOnce(config, workers, Fanout::kGated);
     const bool identical = Identical(serial.result, timed.result);
     all_identical = all_identical && identical;
     const double speedup = serial.seconds / timed.seconds;

@@ -77,11 +77,6 @@ constexpr const char* kUsage = R"(simulate_cli — StableShard simulation runner
   --drain      extra rounds to drain after injection stops (default 0)
   --workers    threads driving the shard-parallel round loop (default 1;
                any value gives bit-identical results)
-  --min-shards-per-worker  build the worker pool only when shards/workers
-               reaches this (default 1: always build it and let the
-               per-round gate decide which rounds fan out; below it every
-               round runs serially — results are identical either way;
-               must be >= 1)
   --wal        persist every commit/abort to the write-ahead log (off by
                default; fault-free runs are bit-identical either way)
   --checkpoint-interval  cut a full-state checkpoint every N protocol
@@ -145,13 +140,6 @@ bool ParseConfig(const Flags& flags, core::SimConfig* config) {
   config->drain_cap = static_cast<Round>(flags.GetUint("drain", 0));
   config->worker_threads = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, flags.GetUint("workers", 1)));
-  config->min_shards_per_worker = static_cast<std::uint32_t>(flags.GetUint(
-      "min-shards-per-worker", config->min_shards_per_worker));
-  // Same contract as the watermarks: a zero threshold is an input error
-  // (exit 2), not an SSHARD_CHECK abort in the engine constructor.
-  if (!core::ValidateMinShardsPerWorker(config->min_shards_per_worker)) {
-    return false;
-  }
   config->seed = flags.GetUint("seed", 42);
   config->abort_probability = flags.GetDouble("abort-prob", 0.0);
   config->fds_pipelined = !flags.GetBool("pinned", false);

@@ -50,7 +50,7 @@ class Adversary {
   /// Generate this round's injections into `out` (cleared first). Must be
   /// called once per round in increasing round order. Touches only
   /// adversary-owned state (strategy, buckets, factory, rng), so the engine
-  /// may overlap it with a scheduler's pipelined flush of the previous
+  /// may overlap it with a scheduler's pooled flush of the previous
   /// round. Hot paths pass a reused buffer; the allocating overload below
   /// is the convenience for tests.
   void GenerateRound(Round round, std::vector<txn::Transaction>& out);

@@ -21,7 +21,7 @@
 // any Simulation is constructed (the registry is not locked); duplicate
 // names die. Build runs on the Simulation constructor's thread; the built
 // Strategy is driven exclusively from serial engine phases (GenerateRound
-// on the driving thread — possibly overlapped with the pipelined flush,
+// on the driving thread — possibly overlapped with the pooled flush,
 // which touches no adversary state), so strategies need no internal
 // synchronization. Determinism obligation: a builder must derive all
 // randomness from the deps it is handed (config seed / deps.rng), never

@@ -75,7 +75,7 @@ class ThreadPool {
 
   /// Start `fn(i)` for i in [0, count) WITHOUT waiting: the caller overlaps
   /// its own serial work with the tasks and then calls Wait() — the engine's
-  /// pipelined round epilogue runs the next round's generation on the
+  /// pooled round epilogue runs the next round's generation on the
   /// driving thread while flush partitions drain here. The pool keeps its
   /// own copy of `fn` until Wait(), so the callable need not outlive the
   /// call. One index per claim: dispatched tasks are coarse partitions.

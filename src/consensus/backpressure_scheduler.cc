@@ -41,7 +41,7 @@ void BackpressureScheduler::BeginRound(Round round) {
   // BeginRound (== the previous round, including its epilogue flush) and
   // runs the hysteresis gate. Everything read here is folded serially by
   // the epilogue, so the branch outcomes are identical whatever the
-  // worker count or pipeline mode.
+  // worker count.
   SSHARD_SERIAL_PHASE(inner_->ownership());
   const ShardId shards = inner_->shard_count();
   for (ShardId shard = 0; shard < shards; ++shard) {

@@ -37,9 +37,9 @@
 // registered "backpressure" name up automatically).
 //
 // Determinism: all decisions (watermark crossings, re-admission) happen
-// in serial phases and branch only on counters that the pipelined
-// epilogue folds back bit-identically, so workers 1 vs N and pipeline
-// on/off produce bit-identical results — the same contract every other
+// in serial phases and branch only on counters that the round epilogue
+// folds back bit-identically, so workers 1 vs N, pooled or serial rounds,
+// produce bit-identical results — the same contract every other
 // scheduler honours (see core/scheduler.h).
 //
 // This is the consensus-layer view of the classic bounded-queue admission
@@ -90,7 +90,7 @@ class BackpressureScheduler final : public core::Scheduler {
 
   // The round body and the epilogue triple delegate unchanged — admission
   // control never touches in-round state, which is what keeps the
-  // shard-parallel and pipelined paths bit-identical for free.
+  // shard-parallel and pooled-epilogue paths bit-identical for free.
   std::uint64_t RoundWork(Round round) const override {
     return inner_->RoundWork(round);
   }

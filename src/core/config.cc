@@ -42,15 +42,6 @@ bool ValidateBackpressureWatermarks(std::uint64_t low, std::uint64_t high) {
   return false;
 }
 
-bool ValidateMinShardsPerWorker(std::uint32_t min_shards_per_worker) {
-  if (min_shards_per_worker >= 1) return true;
-  std::fprintf(stderr,
-               "invalid min-shards-per-worker: need "
-               "--min-shards-per-worker >= 1 (got %u)\n",
-               min_shards_per_worker);
-  return false;
-}
-
 bool ValidateBdsColorLeaders(std::uint32_t bds_color_leaders) {
   if (bds_color_leaders >= 1) return true;
   std::fprintf(stderr,

@@ -118,7 +118,7 @@ struct SimConfig {
   // Durability & crash recovery (src/durability/).
   /// Attach a per-shard commit WAL behind the ledger: records are staged
   /// during StepShard and persisted inside the round epilogue (overlapping
-  /// the pooled flush in the pipelined path). Off by default — with it on
+  /// the partitioned flush on pooled rounds). Off by default — with it on
   /// and no faults, results stay bit-identical to wal = false (enforced by
   /// parallel_rounds --check).
   bool wal = false;
@@ -145,21 +145,15 @@ struct SimConfig {
   /// serial). Any value produces bit-identical results — the decomposition
   /// is deterministic by construction (see core/scheduler.h).
   std::uint32_t worker_threads = 1;
-  /// Pipelined round epilogue (worker_threads > 1 only): the epilogue's
-  /// flush runs destination-partitioned on the pool while the next round's
-  /// adversary generation overlaps on the driving thread. Bit-identical to
-  /// the serial epilogue either way — the switch exists for the
-  /// before/after comparison in bench/parallel_rounds --phases.
+  /// Ignored by the engine, which runs every pooled round with the
+  /// partitioned flush and overlapped generation and every other round
+  /// with EndRound. Kept because the fixed repository benchmark
+  /// (perfbench/) sets and reads it.
   bool pipeline = true;
-  /// Static pool guard: when shards / worker_threads falls below this,
-  /// the engine never builds the worker pool and every round runs
-  /// serially. The default 1 builds the pool whenever worker_threads > 1
-  /// and leaves the decision to the engine's per-round gate, which fans
-  /// out only the rounds whose Scheduler::RoundWork pays for the wake-ups
-  /// (see docs/ARCHITECTURE.md). Results are bit-identical either way
-  /// (the decomposition is deterministic), so this is purely a wall-clock
-  /// policy. Must be >= 1; CLIs validate via ValidateMinShardsPerWorker
-  /// and exit 2.
+  /// Ignored by the engine, which builds its pool whenever
+  /// worker_threads > 1 (with at most one thread per shard) and leaves the
+  /// rest to its per-round gate. Kept because the fixed repository
+  /// benchmark (perfbench/) sets and reads it.
   std::uint32_t min_shards_per_worker = 1;
   /// After `rounds`, keep stepping (without injection) until the scheduler
   /// drains or `drain_cap` extra rounds elapse (0 = no drain phase).
@@ -177,15 +171,6 @@ struct SimConfig {
 /// scheduler constructor re-checks the same condition as an aborting
 /// invariant for non-CLI embedders.
 bool ValidateBackpressureWatermarks(std::uint64_t low, std::uint64_t high);
-
-/// CLI-shared validation for the pool-overhead threshold: true when usable
-/// (>= 1 — "0 shards per worker" would make every grid serial by a
-/// division that never triggers), otherwise prints one "invalid
-/// min-shards-per-worker: ..." line to stderr and returns false so the
-/// caller can exit 2 (the cli_invalid_min_shards_exits_2 ctest greps it).
-/// The Simulation constructor re-checks the condition as an aborting
-/// invariant for non-CLI embedders.
-bool ValidateMinShardsPerWorker(std::uint32_t min_shards_per_worker);
 
 /// CLI-shared validation for the sharded-BDS co-leader count: true when
 /// usable (>= 1), otherwise prints one "invalid bds-color-leaders: ..."
@@ -291,7 +276,7 @@ struct SimResult {
   // Durability & recovery (all 0 unless SimConfig::wal). Part of the
   // bit-identity contract like every other field: same config ⇒ same WAL
   // bytes, same checkpoint count, same recovery schedule, whatever
-  // worker_threads or the pipeline switch.
+  // worker_threads.
   std::uint64_t wal_bytes = 0;        ///< total WAL bytes persisted
   std::uint64_t checkpoint_count = 0;
   std::uint64_t replay_bytes = 0;     ///< WAL bytes replayed by recoveries

@@ -22,15 +22,14 @@ inline double SecondsSince(Clock::time_point start) {
 }
 
 // The per-round fan-out gate. A pooled round pays a fixed cost: waking
-// the workers for the step region (and again for the flush region when
-// pipelined) and waking the driving thread back, tens of microseconds on
-// a 4-vCPU VM. It saves the part of the round's splittable work that
-// leaves the driving thread's critical path: everything but one worker's
-// share. A round is pooled when that saving, counted in
-// Scheduler::RoundWork units (about one message handled each), reaches
-// this constant. Per-round serial-vs-pooled timings over BDS uniform and
-// FDS line at s = 256 and 1024 with 2, 4 and 8 workers put the break-even
-// at 250-400 units. The constant sits above that because a run that mixes
+// the workers for the step region and again for the flush region, and
+// waking the driving thread back, tens of microseconds on a 4-vCPU VM.
+// It saves the part of the round's splittable work that leaves the
+// driving thread's critical path: everything but one worker's share. A
+// round is pooled when that saving, counted in Scheduler::RoundWork units
+// (about one message handled each), reaches this constant. Per-round
+// serial-vs-pooled timings over BDS uniform and FDS line at s = 256 and
+// 1024 with 2, 4 and 8 workers put the break-even at 250-400 units. The constant sits above that because a run that mixes
 // pooled and serial rounds keeps its pooled rounds' allocations in the
 // workers' malloc arenas: at 320 a 2-worker FDS run gained under 5% and
 // grew its peak RSS by about 10%; at 512 that run stays serial. See
@@ -47,7 +46,6 @@ Simulation::Simulation(const SimConfig& config)
   SSHARD_CHECK(config.rho > 0.0 && config.rho <= 1.0);
   SSHARD_CHECK(config.burstiness > 0.0);
   SSHARD_CHECK(config.worker_threads >= 1);
-  SSHARD_CHECK(config.min_shards_per_worker >= 1);
   SSHARD_CHECK(config.bds_color_leaders >= 1);
   SSHARD_CHECK(config.fds_top_roots >= 1);
   SSHARD_CHECK(config.replay_bytes_per_round >= 1);
@@ -165,14 +163,14 @@ Simulation::Simulation(const SimConfig& config)
   scheduler_ =
       SchedulerRegistry::Global().Build(config.scheduler, config_, deps);
 
-  // Static pool guard: below min_shards_per_worker shards per worker the
-  // pool is never built and every round runs serially. By default it is
-  // built whenever worker_threads > 1, and the per-round gate in
-  // StepRound decides round by round whether a fan-out pays.
-  // Bit-identical results either way — this only changes wall-clock.
-  if (config.worker_threads > 1 &&
-      config.shards / config.worker_threads >= config.min_shards_per_worker) {
-    pool_ = std::make_unique<ThreadPool>(config.worker_threads);
+  // The pool exists whenever more than one worker is asked for; the
+  // per-round gate in StepRound decides round by round whether a fan-out
+  // pays. A thread beyond the shard count would idle in both regions, so
+  // the pool has at most one thread per shard. Bit-identical results
+  // either way — this only changes wall-clock.
+  if (config.worker_threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(
+        std::min<std::uint32_t>(config.worker_threads, config.shards));
   }
 }
 
@@ -230,14 +228,13 @@ void Simulation::StepRound(Round round, Round generate_round) {
   }
   phase_times_.step += SecondsSince(mark);
 
-  if (pooled && config_.pipeline) {
-    // Pipelined epilogue: seal the round's double buffers, drain them
-    // destination-partitioned on the pool, and overlap the next round's
-    // adversary generation on this thread (it touches only adversary
-    // state). The serial remainder shrinks to FinishRound.
+  if (pooled) {
+    // Pooled epilogue: seal the round's double buffers, drain them
+    // destination-partitioned on the pool (one partition per worker), and
+    // overlap the next round's generation on this thread (it touches only
+    // injector state). The serial remainder shrinks to FinishRound.
     mark = Clock::now();
-    const auto parts = static_cast<std::uint32_t>(
-        std::min<std::size_t>(pool_->thread_count(), shards));
+    const auto parts = static_cast<std::uint32_t>(pool_->thread_count());
     scheduler_->SealRound(round, parts);
     pool_->Dispatch(parts, [scheduler, round, parts](std::size_t part) {
       scheduler->FlushRoundPartition(round, static_cast<std::uint32_t>(part),
@@ -255,6 +252,16 @@ void Simulation::StepRound(Round round, Round generate_round) {
     scheduler_->EndRound(round);
     phase_times_.finish += SecondsSince(mark);
   }
+}
+
+void Simulation::InjectBuffer() {
+  const auto start = Clock::now();
+  for (txn::Transaction& txn : txn_buffer_) {
+    ledger_->RegisterInjection(txn);
+    scheduler_->Inject(txn);
+  }
+  txn_buffer_.clear();
+  phase_times_.inject += SecondsSince(start);
 }
 
 SimResult Simulation::Run() {
@@ -319,24 +326,18 @@ SimResult Simulation::Run() {
            fault_plan_.events[next_fault_].crash_round == round) {
       ExecuteFault(fault_plan_.events[next_fault_++], stall_round);
     }
-    // The pipelined epilogue of round - 1 usually pre-generated this
-    // round's transactions (overlapped with its flush); fall back to
-    // generating here on the serial path and for round 0. Injection stays
-    // strictly after the previous round's sampling either way, so the
-    // ledger counters every sample sees match the serial schedule.
+    // A pooled round - 1 pre-generated this round's transactions
+    // (overlapped with its flush); after a serial round - 1 and for round
+    // 0 they are generated here. Injection stays strictly after the
+    // previous round's sampling either way, so the ledger counters every
+    // sample sees match the serial schedule.
     if (generated_round_ != round) Generate(round);
-    const auto inject_start = Clock::now();
-    for (txn::Transaction& txn : txn_buffer_) {
-      ledger_->RegisterInjection(txn);
-      scheduler_->Inject(txn);
-    }
-    txn_buffer_.clear();
-    phase_times_.inject += SecondsSince(inject_start);
-    // Pipelined pre-generation of round + 1 — suppressed in open loop when
+    InjectBuffer();
+    // Overlapped pre-generation of round + 1 — suppressed in open loop when
     // a fault lands on the round + 1 boundary: the serial order is stall
     // rounds (arrivals accrue as backlog) *then* generation, and an
     // overlapped Generate would consume the schedule's wall rounds first,
-    // perturbing arrival accounting vs the pipeline-off run. Closed-loop
+    // perturbing arrival accounting vs the serial run. Closed-loop
     // generation reads no wall clock, so it keeps the overlap always.
     Round generate_round = round + 1 < config_.rounds ? round + 1 : kNoRound;
     if (open_loop_ && next_fault_ < fault_plan_.events.size() &&
@@ -366,13 +367,7 @@ SimResult Simulation::Run() {
       }
       if (more_arrivals) {
         Generate(round);
-        const auto inject_start = Clock::now();
-        for (txn::Transaction& txn : txn_buffer_) {
-          ledger_->RegisterInjection(txn);
-          scheduler_->Inject(txn);
-        }
-        txn_buffer_.clear();
-        phase_times_.inject += SecondsSince(inject_start);
+        InjectBuffer();
       }
       StepRound(round, kNoRound);
       sample_round_metrics(wall);

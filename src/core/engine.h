@@ -17,17 +17,19 @@
 //      per-round averages, max_pending and the pending series describe the
 //      same rounds_executed window the result reports.
 //
-// Pipelined epilogue (pooled rounds with SimConfig::pipeline): instead
-// of EndRound (the scheduler's SealRound / FlushRoundPartition /
-// FinishRound triple with one partition on the driving thread), the engine
-// runs the triple with one partition per worker — the flush drains
-// destination-partitioned on the pool while the driving thread generates
-// the NEXT round's transactions into a reusable buffer (generation touches
-// only adversary state, so the overlap is race-free and invisible to the
-// results). Injection, metric sampling and BeginRound of the next round
-// stay strictly after FinishRound, so the ledger values every sample sees
-// are exactly the serial ones — worker_threads and the pipeline switch
-// never change a single output bit (tests/parallel_engine_test).
+// Pooled epilogue: a round that the gate fans out also runs its epilogue
+// on the pool. Instead of EndRound (the scheduler's SealRound /
+// FlushRoundPartition / FinishRound triple with one partition on the
+// driving thread), the engine runs the triple with one partition per
+// worker — the flush drains destination-partitioned on the pool while the
+// driving thread generates the NEXT round's transactions into a reusable
+// buffer (generation touches only injector state, so the overlap is
+// race-free and invisible to the results). A serial round runs EndRound
+// and leaves generation to the start of the next round. Injection, metric
+// sampling and BeginRound of the next round stay strictly after
+// FinishRound, so the ledger values every sample sees are exactly the
+// serial ones — worker_threads never changes a single output bit
+// (tests/parallel_engine_test).
 //
 // The engine knows no concrete scheduler and no concrete workload:
 // SimConfig::scheduler names an entry in core::SchedulerRegistry and
@@ -63,16 +65,16 @@ namespace stableshard::core {
 
 /// Wall-clock decomposition of Run() as seen from the driving thread,
 /// accumulated across all executed rounds (bench/parallel_rounds --phases).
-/// In the pipelined epilogue `generate` happens inside the `flush` window
-/// (it overlaps the pool's partition drain), so the two overlap; in the
-/// serial epilogue `flush` is 0 and `finish` holds the whole EndRound.
+/// On a pooled round `generate` happens inside the `flush` window (it
+/// overlaps the pool's partition drain), so the two overlap; on a serial
+/// round `flush` is 0 and `finish` holds the whole EndRound.
 struct PhaseTimes {
   double generate = 0;  ///< adversary GenerateRound
   double inject = 0;    ///< RegisterInjection + Scheduler::Inject
   double begin = 0;     ///< BeginRound
   double step = 0;      ///< StepShard fan-out (wall time)
   double flush = 0;     ///< SealRound .. pool Wait (overlaps generate)
-  double finish = 0;    ///< FinishRound (pipelined) or EndRound (serial)
+  double finish = 0;    ///< FinishRound (pooled) or EndRound (serial)
   double sample = 0;    ///< per-round metric sampling
   double total = 0;     ///< the whole round loop, drain included
 };
@@ -119,15 +121,6 @@ class Simulation {
   /// into the simulation, so it cannot perturb results.
   const PhaseTimes& phase_times() const { return phase_times_; }
 
-  /// Threads stepping shards on pooled rounds: config worker_threads,
-  /// unless the min_shards_per_worker guard decided the grid is too small
-  /// for the pool, in which case 1 (benches report this next to the
-  /// configured count so threshold fallbacks are visible in the tables).
-  /// Which rounds used the pool is pooled_rounds().
-  std::uint32_t effective_workers() const {
-    return pool_ ? config_.worker_threads : 1;
-  }
-
   /// Rounds Run() fanned out on the pool; the rest ran serially. The
   /// per-round gate reads only the scheduler's deterministic RoundWork, so
   /// two runs of one config report the same count.
@@ -143,8 +136,10 @@ class Simulation {
   const cluster::Hierarchy& EnsureHierarchy(std::uint32_t top_roots);
   /// Generate `round`'s injections into the reusable buffer.
   void Generate(Round round);
-  /// One full round; when `generate_round` != kNoRound and the pipelined
-  /// epilogue is active, that round's generation overlaps the flush.
+  /// Register and inject the buffered transactions, then clear the buffer.
+  void InjectBuffer();
+  /// One full round; when `generate_round` != kNoRound and the round is
+  /// pooled, that round's generation overlaps the flush.
   void StepRound(Round round, Round generate_round);
   /// Execute one fault event (crash → outage → replay → catch-up →
   /// rejoin). The protocol clock is frozen throughout: `stall_round`
@@ -169,7 +164,8 @@ class Simulation {
   std::unique_ptr<traffic::TraceWriter> trace_writer_;  ///< trace_out only
   bool open_loop_ = false;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<ThreadPool> pool_;  ///< persistent; worker_threads > 1
+  /// Persistent; worker_threads > 1, min(worker_threads, shards) threads.
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<durability::MemoryStorage> storage_;  ///< wal only
   std::unique_ptr<durability::WalManager> wal_;         ///< wal only
   std::unique_ptr<durability::LivenessTracker> liveness_;

@@ -95,8 +95,8 @@ inline std::pair<ShardId, ShardId> FlushShardRange(ShardId shards,
 // StepShard may run concurrently for distinct shards, FlushRoundPartition
 // for distinct partitions. Determinism obligation: any state a scheduler
 // branches on in a serial phase (including the traffic/queue introspection
-// below) must be bit-identical whatever worker_threads or the pipeline
-// switch — which every counter folded through the serial epilogue is.
+// below) must be bit-identical whatever worker_threads, pooled or serial
+// round — which every counter folded through the serial epilogue is.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

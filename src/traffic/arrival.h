@@ -19,7 +19,7 @@
 // Determinism: schedules are pure functions of their construction
 // parameters and the call sequence — ArrivalsAt is called exactly once per
 // wall round in increasing order (enforced), so the same config yields the
-// same arrival sequence whatever the worker count or pipeline switch.
+// same arrival sequence whatever the worker count.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // The engine drives exactly one Injector:
 //  - GenerateRound(round, out) once per live protocol round, in increasing
 //    round order, from the serial generation phase (possibly overlapped
-//    with the previous round's pipelined flush — injectors touch no
+//    with the previous round's pooled flush — injectors touch no
 //    scheduler state, so the overlap is race-free);
 //  - OnStalledRound() once per wall round the protocol clock is frozen by
 //    a crash outage/replay. The closed-loop adversary generates nothing

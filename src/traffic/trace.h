@@ -89,7 +89,7 @@ bool ValidateTraceFile(const std::string& path, ShardId shards,
 /// Records a live injection stream (closed- or open-loop) into a Trace.
 /// Driven exclusively from the engine's serial generation phase — one
 /// Record call per admitted transaction, in injection order — so recording
-/// is race-free even under the pipelined epilogue. Only touch-shaped
+/// is race-free even under the pooled epilogue. Only touch-shaped
 /// accesses are recordable (write + uniform deposit, optionally the
 /// standard unsatisfiable-threshold poison); anything else aborts, because
 /// a trace that cannot round-trip would silently break replay.

@@ -11,8 +11,8 @@
 //   - invalid watermark config dies in the constructor (the CLI-level
 //     exit-2 path is asserted end-to-end by the
 //     cli_invalid_backpressure_exits_2 ctest check);
-//   - bit-identity under engaged shedding: workers 1 vs 4, pipelined
-//     epilogue on and off.
+//   - bit-identity under engaged shedding: workers 1 vs 4, every round
+//     pooled.
 #include <gtest/gtest.h>
 
 #include "chain/account_map.h"
@@ -236,22 +236,17 @@ TEST(BackpressureSim, ShedsLeaderQueuePeakVersusFds) {
   EXPECT_LT(backpressure.max_leader_queue, fds.max_leader_queue);
 }
 
-TEST(BackpressureSim, BitIdenticalAcrossWorkersAndPipelineWhileShedding) {
+TEST(BackpressureSim, BitIdenticalAcrossWorkersWhileShedding) {
   // The matrix asserts this for the default (rarely engaged) watermarks;
   // here the gate is engaged hard and the schedule still must not depend
-  // on the worker count or the epilogue mode.
+  // on the worker count.
   core::SimConfig config = EngagedConfig();
   const core::SimResult serial = RunWithWorkers(config, 1);
   ASSERT_GT(serial.spill_peak, 0u);
 
   // ExpectBitIdenticalResults covers every SimResult field, including
   // the spill_peak / max_leader_queue columns this scheduler populates.
-  const core::SimResult parallel = RunWithWorkers(config, 4);
-  ExpectBitIdenticalResults(serial, parallel);
-
-  config.pipeline = false;
-  const core::SimResult unpipelined = RunWithWorkers(config, 4);
-  ExpectBitIdenticalResults(serial, unpipelined);
+  ExpectBitIdenticalResults(serial, RunWithWorkers(config, 4));
 }
 
 }  // namespace

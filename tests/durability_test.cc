@@ -5,9 +5,8 @@
 // the liveness state machine, the fault-plan grammar, and the end-to-end
 // crash/recovery (churn) goldens — restored state bit-identical,
 // accounting identity intact, churn commits exactly the fault-free counts,
-// and everything bit-identical across workers 1/4 x pipeline on/off. The
-// *Hammer suites run the same churn under larger pools (the TSan CI
-// target).
+// and everything bit-identical between workers 1 and pooled 4/8-worker
+// runs (the *Hammer suite, also the TSan CI target).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -872,41 +871,24 @@ TEST_P(ChurnGoldenTest, WalIsTransparentWithoutFaults) {
   EXPECT_GT(with.checkpoint_count, 0u);
 }
 
-TEST_P(ChurnGoldenTest, ChurnIsBitIdenticalAcrossWorkersAndPipeline) {
-  core::SimConfig churn = DurableConfig(GetParam());
-  churn.faults = kChurnPlan;
-  const core::SimResult serial = test::RunWithWorkers(churn, 1);
-  EXPECT_GT(serial.replay_bytes, 0u);
-
-  core::SimConfig pipelined = churn;
-  pipelined.pipeline = true;
-  test::ExpectBitIdenticalResults(serial,
-                                  test::RunWithWorkers(pipelined, 4));
-  core::SimConfig unpipelined = churn;
-  unpipelined.pipeline = false;
-  test::ExpectBitIdenticalResults(serial,
-                                  test::RunWithWorkers(unpipelined, 4));
-}
-
 INSTANTIATE_TEST_SUITE_P(Schedulers, ChurnGoldenTest,
                          ::testing::Values("bds", "fds"));
 
-/// The TSan CI target: the same churn under larger pools, both epilogues.
-/// Any data race between the crash/replay machinery (serial, between
-/// rounds) and the pooled step/flush/persist paths shows up here.
+/// The churn under 4- and 8-worker pools with every round pooled must
+/// match the serial run bit for bit. Also the TSan CI target: any data
+/// race between the crash/replay machinery (serial, between rounds) and
+/// the pooled step/flush/persist paths shows up here.
 class DurabilityChurnHammer : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DurabilityChurnHammer, PooledChurnMatchesSerial) {
   core::SimConfig churn = DurableConfig(GetParam());
   churn.faults = kChurnPlan;
   const core::SimResult serial = test::RunWithWorkers(churn, 1);
+  EXPECT_GT(serial.replay_bytes, 0u);
   for (const std::uint32_t workers : {4u, 8u}) {
-    for (const bool pipeline : {true, false}) {
-      core::SimConfig config = churn;
-      config.pipeline = pipeline;
-      test::ExpectBitIdenticalResults(
-          serial, test::RunWithWorkers(config, workers));
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    test::ExpectBitIdenticalResults(serial,
+                                    test::RunWithWorkers(churn, workers));
   }
 }
 

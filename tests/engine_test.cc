@@ -89,39 +89,24 @@ TEST(Engine, SweepWithInnerParallelConfigsMatchesSerialRuns) {
   }
 }
 
-TEST(Engine, SmallGridThresholdFallsBackToSerial) {
-  // s = 16 with 4 workers is 4 shards per worker, below a threshold of 8,
-  // so the config must silently serialize — visible through
-  // effective_workers() — and produce exactly the serial results. The
-  // default threshold 1 turns the pool back on (and PoolEveryRound fans
-  // out every round past the per-round gate); results stay bit-identical
-  // either way.
+TEST(Engine, PoolEveryRoundFansOutASmallGrid) {
+  // s = 16 sits below the per-round gate, so only PoolEveryRound fans its
+  // rounds out on the 4-worker pool; results stay bit-identical to the
+  // serial run.
   SimConfig config = SmallConfig("fds");
   config.rounds = 200;
   config.drain_cap = 20000;
   config.worker_threads = 4;
-  config.min_shards_per_worker = 8;
-
-  Simulation fallback(config);  // below 8 shards per worker: pool skipped
-  EXPECT_EQ(fallback.effective_workers(), 1u);
-  fallback.PoolEveryRound();  // no pool, so nothing to fan out
-  const auto fallback_result = fallback.Run();
-  EXPECT_EQ(fallback.pooled_rounds(), 0u);
-
-  config.min_shards_per_worker = SimConfig{}.min_shards_per_worker;
-  EXPECT_EQ(config.min_shards_per_worker, 1u);
   Simulation pooled(config);
-  EXPECT_EQ(pooled.effective_workers(), 4u);
   pooled.PoolEveryRound();
   const auto pooled_result = pooled.Run();
   EXPECT_EQ(pooled.pooled_rounds(), pooled_result.rounds_executed);
 
   config.worker_threads = 1;
   Simulation serial(config);
-  EXPECT_EQ(serial.effective_workers(), 1u);
   const auto serial_result = serial.Run();
+  EXPECT_EQ(serial.pooled_rounds(), 0u);
 
-  test::ExpectBitIdenticalResults(fallback_result, serial_result);
   test::ExpectBitIdenticalResults(pooled_result, serial_result);
 }
 

@@ -6,7 +6,7 @@
 // above 1 they report themselves as "bds_sharded" / "fds_multiroot". With
 // non-trivial fan-outs the sharded BDS must still produce the single-leader
 // outcomes (the color-class handoff changes message endpoints, never
-// commit timing), both modes must honour the workers/pipeline determinism
+// commit timing), both modes must honour the worker-count determinism
 // contract, and a drained run must satisfy every chain/serializability
 // invariant.
 #include <gtest/gtest.h>
@@ -26,15 +26,8 @@ using core::SimResult;
 using core::Simulation;
 using test::ExpectBitIdenticalResults;
 using test::ExpectDrainedRunInvariants;
+using test::RunWithWorkers;
 using test::SmallConfig;
-
-SimResult RunWith(SimConfig config, std::uint32_t workers, bool pipeline) {
-  config.worker_threads = workers;
-  config.pipeline = pipeline;
-  Simulation sim(config);
-  sim.PoolEveryRound();  // every round, below the per-round gate too
-  return sim.Run();
-}
 
 TEST(LeaderSharding, ShardedCommitRoundsMatchLegacyBds) {
   // With L = 4 co-leaders the commit role is sharded but the round
@@ -46,8 +39,8 @@ TEST(LeaderSharding, ShardedCommitRoundsMatchLegacyBds) {
   // the extra ColorClassMsg hop) may differ.
   SimConfig config = SmallConfig("bds");
   config.bds_color_leaders = 4;
-  const SimResult legacy = RunWith(SmallConfig("bds"), 1, true);
-  const SimResult sharded = RunWith(config, 1, true);
+  const SimResult legacy = RunWithWorkers(SmallConfig("bds"), 1);
+  const SimResult sharded = RunWithWorkers(config, 1);
   EXPECT_EQ(legacy.injected, sharded.injected);
   EXPECT_EQ(legacy.committed, sharded.committed);
   EXPECT_EQ(legacy.aborted, sharded.aborted);
@@ -93,30 +86,28 @@ TEST(LeaderSharding, MultirootCommitsWhatLegacyFdsCommits) {
   // aborts, so the committed totals must agree.
   SimConfig config = SmallConfig("fds");
   config.fds_top_roots = 3;
-  const SimResult legacy = RunWith(SmallConfig("fds"), 1, true);
-  const SimResult multiroot = RunWith(config, 1, true);
+  const SimResult legacy = RunWithWorkers(SmallConfig("fds"), 1);
+  const SimResult multiroot = RunWithWorkers(config, 1);
   EXPECT_EQ(legacy.injected, multiroot.injected);
   EXPECT_EQ(legacy.committed, multiroot.committed);
   EXPECT_EQ(legacy.aborted, multiroot.aborted);
   EXPECT_TRUE(multiroot.drained);
 }
 
-TEST(LeaderSharding, ShardedBitIdenticalAcrossWorkersAndPipeline) {
+TEST(LeaderSharding, ShardedBitIdenticalAcrossWorkers) {
   SimConfig config = SmallConfig("bds");
   config.bds_color_leaders = 4;
-  const SimResult serial = RunWith(config, 1, true);
-  ExpectBitIdenticalResults(serial, RunWith(config, 4, true));
-  ExpectBitIdenticalResults(serial, RunWith(config, 4, false));
+  ExpectBitIdenticalResults(RunWithWorkers(config, 1),
+                            RunWithWorkers(config, 4));
 }
 
-TEST(LeaderSharding, MultirootBitIdenticalAcrossWorkersAndPipeline) {
+TEST(LeaderSharding, MultirootBitIdenticalAcrossWorkers) {
   for (const std::uint32_t roots : {3u, 4u}) {
     SCOPED_TRACE("roots = " + std::to_string(roots));
     SimConfig config = SmallConfig("fds");
     config.fds_top_roots = roots;
-    const SimResult serial = RunWith(config, 1, true);
-    ExpectBitIdenticalResults(serial, RunWith(config, 4, true));
-    ExpectBitIdenticalResults(serial, RunWith(config, 4, false));
+    ExpectBitIdenticalResults(RunWithWorkers(config, 1),
+                              RunWithWorkers(config, 4));
   }
 }
 

@@ -1,10 +1,10 @@
 // Shard-parallel round loop tests: worker_threads = N must be bit-identical
 // to worker_threads = 1 for every scheduler (the decomposition contract of
-// core/scheduler.h), the pipelined epilogue (the round epilogue drained in
+// core/scheduler.h), the pooled epilogue (the round epilogue drained in
 // one destination partition per worker, overlapped with the next round's
-// adversary generation) must be bit-identical to the one-partition
-// EndRound, and parallel runs must satisfy the same drained-run invariants
-// as serial ones.
+// generation) must be bit-identical to the one-partition EndRound, and
+// parallel runs must satisfy the same drained-run invariants as serial
+// ones.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,19 +24,6 @@ using test::ExpectBitIdenticalResults;
 using test::ExpectDrainedRunInvariants;
 using test::RunWithWorkers;
 using test::SmallConfig;
-
-/// Run with an explicit pipelined-epilogue switch (RunWithWorkers leaves
-/// the default, which is pipelined).
-SimResult RunPipelined(SimConfig config, std::uint32_t workers,
-                       bool pipeline) {
-  config.worker_threads = workers;
-  config.pipeline = pipeline;
-  // Fan out every round: the test grids sit below the per-round gate,
-  // and a silently serialized run would not exercise the pipeline at all.
-  Simulation sim(config);
-  sim.PoolEveryRound();
-  return sim.Run();
-}
 
 class ParallelDeterminism
     : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
@@ -65,30 +52,27 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Pipelined-vs-serial bit-identity across the scheduler x strategy matrix:
-// for every combination, workers = 1 (serial epilogue, no pool), workers =
-// 4 with the pipelined epilogue and workers = 4 with it forced off must
-// produce the same SimResult down to the last float bit.
-class PipelinedMatrix
+// Pooled-vs-serial bit-identity across the scheduler x strategy matrix:
+// for every combination, workers = 1 (serial epilogue, no pool) and
+// workers = 4 with every round pooled must produce the same SimResult down
+// to the last float bit.
+class PooledMatrix
     : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
-TEST_P(PipelinedMatrix, PipelinedAndSerialEpiloguesAgree) {
+TEST_P(PooledMatrix, PooledAndSerialEpiloguesAgree) {
   const auto& [scheduler, strategy] = GetParam();
   SimConfig config = SmallConfig(scheduler);
   config.strategy = strategy;
   config.rounds = 300;
   config.drain_cap = 20000;
   const SimResult serial = RunWithWorkers(config, 1);
-  const SimResult pipelined = RunPipelined(config, 4, /*pipeline=*/true);
-  const SimResult unpipelined = RunPipelined(config, 4, /*pipeline=*/false);
-  ExpectBitIdenticalResults(serial, pipelined);
-  ExpectBitIdenticalResults(serial, unpipelined);
+  ExpectBitIdenticalResults(serial, RunWithWorkers(config, 4));
   EXPECT_GT(serial.injected, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SchedulerStrategy, PipelinedMatrix,
+    SchedulerStrategy, PooledMatrix,
     ::testing::Combine(
         ::testing::Values(std::string("bds"), std::string("fds"),
                           std::string("direct")),
@@ -101,29 +85,27 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
-TEST(ParallelEngine, PipelinedBurstAndDrainIdentical) {
+TEST(ParallelEngine, PooledBurstAndDrainIdentical) {
   // A loaded burst followed by a long drain exercises both epilogue
   // regimes: heavy flush rounds (overlapped generation still running) and
   // drain rounds (no generation to overlap at all). Invariants must hold
-  // and the pipeline must not perturb a bit.
+  // and the pooled epilogue must not perturb a bit.
   SimConfig config = SmallConfig("fds");
   config.rho = 0.02;
   config.burstiness = 400;
   config.rounds = 120;
   config.drain_cap = 60000;
   const SimResult serial = RunWithWorkers(config, 1);
-  const SimResult pipelined = RunPipelined(config, 8, /*pipeline=*/true);
-  ExpectBitIdenticalResults(serial, pipelined);
-
   config.worker_threads = 8;
   Simulation sim(config);
   sim.PoolEveryRound();
   const SimResult result = sim.Run();
+  ExpectBitIdenticalResults(serial, result);
   EXPECT_GT(result.injected, 0u);
   ExpectDrainedRunInvariants(sim, result, /*same_round_atomicity=*/false);
 }
 
-TEST(ParallelEngine, PipelinedHandoffHammer) {
+TEST(ParallelEngine, PooledHandoffHammer) {
   // TSan target: maximize contention on the double-buffered handoff — an
   // oversubscribed pool (8 workers, 1..few cores, 8 shards) so flush
   // partitions, the StepShard fan-out of the next round and the overlapped
@@ -138,9 +120,8 @@ TEST(ParallelEngine, PipelinedHandoffHammer) {
     config.rounds = 400;
     config.drain_cap = 20000;
     config.seed = seed;
-    const SimResult serial = RunWithWorkers(config, 1);
-    const SimResult hammered = RunPipelined(config, 8, /*pipeline=*/true);
-    ExpectBitIdenticalResults(serial, hammered);
+    ExpectBitIdenticalResults(RunWithWorkers(config, 1),
+                              RunWithWorkers(config, 8));
   }
 }
 
@@ -219,40 +200,41 @@ TEST(ParallelEngine, RoundGateMixesSerialAndPooledRounds) {
   config.rounds = 400;
   config.drain_cap = 60000;
 
-  const auto run = [&config](std::uint32_t workers, bool pipeline) {
+  const auto run = [&config](std::uint32_t workers) {
     SimConfig copy = config;
     copy.worker_threads = workers;
-    copy.pipeline = pipeline;
     Simulation sim(copy);
     const SimResult result = sim.Run();
     return std::make_pair(result, sim.pooled_rounds());
   };
 
-  const auto [serial, serial_pooled] = run(1, true);
+  const auto [serial, serial_pooled] = run(1);
   EXPECT_EQ(serial_pooled, 0u);  // no pool, nothing to gate
   EXPECT_GT(serial.injected, 0u);
   for (const std::uint32_t workers : {2u, 4u}) {
-    for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " pipeline=" + std::to_string(pipeline));
-      const auto [result, pooled] = run(workers, pipeline);
-      ExpectBitIdenticalResults(serial, result);
-      EXPECT_GT(pooled, 0u);
-      EXPECT_LT(pooled, result.rounds_executed);
-      EXPECT_EQ(run(workers, pipeline).second, pooled);
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto [result, pooled] = run(workers);
+    ExpectBitIdenticalResults(serial, result);
+    EXPECT_GT(pooled, 0u);
+    EXPECT_LT(pooled, result.rounds_executed);
+    EXPECT_EQ(run(workers).second, pooled);
   }
 }
 
 TEST(ParallelEngine, OversubscribedPoolStillIdentical) {
-  // More workers than shards (and than cores): scheduling order varies
-  // wildly, results must not.
+  // More workers asked for than shards (and than cores): the pool still
+  // exists, with one thread per shard, and every round runs on it.
+  // Scheduling order varies wildly, results must not.
   SimConfig config = SmallConfig("bds");
   config.shards = 4;
   config.accounts = 4;
   config.rounds = 500;
   const SimResult serial = RunWithWorkers(config, 1);
-  const SimResult parallel = RunWithWorkers(config, 8);
+  config.worker_threads = 8;
+  Simulation sim(config);
+  sim.PoolEveryRound();
+  const SimResult parallel = sim.Run();
+  EXPECT_EQ(sim.pooled_rounds(), parallel.rounds_executed);
   ExpectBitIdenticalResults(serial, parallel);
 }
 

@@ -3,7 +3,7 @@
 // mutation suite over the tracked fixtures), the
 // (rho, b) window bound of the token-bucket arrival schedule — unit level
 // and engine level, churn faults included — the golden record→replay
-// round-trip, open-loop bit-identity across workers/pipeline, and the
+// round-trip, open-loop bit-identity across worker counts, and the
 // hot_destination mid-run-burst regression (the PR-5 blind spot: a burst
 // that lands before any traffic exists is invisible to admission control;
 // an open-loop burst lands mid-run where the gate has live statistics).
@@ -389,29 +389,30 @@ TEST(OpenLoopEngine, OfferedLoadObeysWindowBoundDuringChurn) {
   ExpectOfferedWindowBound(sim, config.arrival_rate, config.arrival_burst);
 }
 
-TEST(OpenLoopEngine, BitIdenticalAcrossWorkersAndPipelineUnderChurn) {
+TEST(OpenLoopEngine, BitIdenticalAcrossWorkersUnderChurn) {
   // The pre-generation hazard cell: open loop + a fault plan means the
-  // pipelined epilogue must suppress the overlapped Generate at fault
+  // pooled epilogue must suppress the overlapped Generate at fault
   // boundaries (arrivals accrue during the stall *before* the next
   // generation pulls them) — any ordering slip shows up here as a
-  // worker/pipeline-dependent result.
+  // worker-dependent result. The serial run never pre-generates, so it is
+  // the oracle.
   SimConfig config = OpenLoopConfig("fds");
   config.wal = true;
   config.checkpoint_interval = 100;
   config.faults = "3@120+8,9@250+5";
   const SimResult serial = RunWithWorkers(config, 1);
   ASSERT_TRUE(serial.drained);
-  ExpectBitIdenticalResults(serial, RunWithWorkers(config, 4));
-  SimConfig unpipelined = config;
-  unpipelined.pipeline = false;
-  ExpectBitIdenticalResults(serial, RunWithWorkers(unpipelined, 4));
+  for (const std::uint32_t workers : {4u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExpectBitIdenticalResults(serial, RunWithWorkers(config, workers));
+  }
 }
 
 TEST(GoldenTrace, RecordReplayReproducesTheRunBitIdentically) {
   // Record a closed-loop run (abort path included, so poisoned accesses
   // round-trip through the '!' grammar), then replay the trace open-loop:
   // same transactions, same rounds, same order — every protocol field of
-  // the SimResult must match, across workers and pipeline modes.
+  // the SimResult must match, across worker counts.
   const std::string path = ::testing::TempDir() + "golden_roundtrip.trace";
   SimConfig recorded = test::SmallConfig("fds");
   recorded.rounds = 600;
@@ -427,16 +428,11 @@ TEST(GoldenTrace, RecordReplayReproducesTheRunBitIdentically) {
   replay.strategy = "trace_replay";
   replay.trace = path;
   for (const std::uint32_t workers : {1u, 4u}) {
-    for (const bool pipeline : {true, false}) {
-      SCOPED_TRACE("workers " + std::to_string(workers) +
-                   (pipeline ? " pipelined" : " serial"));
-      SimConfig config = replay;
-      config.pipeline = pipeline;
-      const SimResult replayed = RunWithWorkers(config, workers);
-      EXPECT_EQ(replayed.committed, closed.committed);
-      EXPECT_EQ(replayed.aborted, closed.aborted);
-      ExpectBitIdenticalProtocol(closed, replayed);
-    }
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const SimResult replayed = RunWithWorkers(replay, workers);
+    EXPECT_EQ(replayed.committed, closed.committed);
+    EXPECT_EQ(replayed.aborted, closed.aborted);
+    ExpectBitIdenticalProtocol(closed, replayed);
   }
 }
 

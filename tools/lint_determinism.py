@@ -2,7 +2,7 @@
 """Determinism lint for the StableShard tree.
 
 The simulator's core contract is bit-identical results across worker
-counts, pipeline modes, and platforms (see docs/determinism.md and
+counts and platforms (see docs/determinism.md and
 `bench/parallel_rounds --check`). The compiler cannot see the class of
 bug that breaks it: iterating a hash container in an order that feeds
 messages or results, calling the C runtime's global RNG, or branching on
