@@ -1,32 +1,21 @@
-// Shared helpers for the figure-reproduction benches: run a (rho, b) sweep
-// on the thread pool, print paper-style panels (one row per rho, one column
-// per b), and persist the raw series as CSV next to the binary.
+// Shared helpers for the benches: the large-s grid cells that
+// parallel_rounds --grid runs, and the BENCH_*.json writer (Field, Record)
+// that parallel_rounds and paper share.
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "common/csv.h"
-#include "core/experiment.h"
+#include "core/config.h"
 
 namespace stableshard::bench {
 
-/// The paper's Section 7 sweep: rho in 0.03..0.27 (step 0.03) and
-/// b in {1000, 2000, 3000}.
-inline std::vector<double> PaperRhoGrid() {
-  std::vector<double> grid;
-  for (int i = 1; i <= 9; ++i) grid.push_back(0.03 * i);
-  return grid;
-}
-
-inline std::vector<double> PaperBurstGrid() { return {1000, 2000, 3000}; }
-
-/// One cell of the ROADMAP large-s grid (shared by bench/parallel_rounds
-/// --grid and bench/scaling --large): s in {256, 512, 1024} on line (fds),
-/// ring (fds) and uniform (bds) — BDS is specified for the uniform model
-/// only.
+/// One cell of the ROADMAP large-s grid (bench/parallel_rounds --grid):
+/// s in {256, 512, 1024} on line (fds), ring (fds) and uniform (bds) — BDS
+/// is specified for the uniform model only.
 struct LargeGridCell {
   net::TopologyKind topology;
   const char* scheduler;
@@ -71,8 +60,6 @@ inline core::SimConfig LargeGridConfig(const LargeGridCell& cell, double rho,
   config.hierarchy = HierarchyFor(cell.topology);
   config.shards = cell.shards;
   config.accounts = cell.shards;
-  // One account per shard, deterministically: both grid benches must run
-  // the same workload so their tables are comparable.
   config.account_assignment = core::AccountAssignment::kRoundRobin;
   config.k = 8;
   config.rho = rho;
@@ -85,72 +72,72 @@ inline core::SimConfig LargeGridConfig(const LargeGridCell& cell, double rho,
   return config;
 }
 
-/// Result accessor used to fill one panel.
-using Metric = std::function<double(const core::SimResult&)>;
-
-struct Panel {
-  std::string title;    ///< e.g. "Average pending transactions per home shard"
-  std::string metric_name;
-  Metric metric;
+/// One named value of a record header or row, rendered as JSON: booleans
+/// as true/false, integers exactly, doubles with six decimals, anything
+/// else as a string.
+struct Field {
+  template <typename T>
+  Field(const char* field_name, const T& value) : name(field_name) {
+    if constexpr (std::is_same_v<T, bool>) {
+      json = value ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+      json = std::to_string(value);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char text[64];
+      std::snprintf(text, sizeof text, "%.6f", value);
+      json = text;
+    } else {
+      json = '"' + std::string(value) + '"';
+    }
+  }
+  const char* name;
+  std::string json;
 };
+using Fields = std::vector<Field>;
 
-/// Run the full rho x b sweep for `base` (rho/burstiness overwritten) and
-/// print each panel as a table; dump everything into `csv_path`.
-inline void RunFigureSweep(const core::SimConfig& base,
-                           const std::string& figure_name,
-                           const std::vector<Panel>& panels,
-                           const std::string& csv_path) {
-  const auto rhos = PaperRhoGrid();
-  const auto bursts = PaperBurstGrid();
-
-  std::vector<core::SimConfig> configs;
-  for (const double b : bursts) {
-    for (const double rho : rhos) {
-      core::SimConfig config = base;
-      config.rho = rho;
-      config.burstiness = b;
-      configs.push_back(config);
-    }
+/// The BENCH_*.json writer. A mode opens it before its first run, so an
+/// unwritable path exits 2 at once instead of after minutes of wall clock.
+/// Write puts the header fields one per line, then "rows" with one object
+/// per line.
+class Record {
+ public:
+  Record() = default;
+  Record(const Record&) = delete;
+  Record& operator=(const Record&) = delete;
+  ~Record() {
+    if (file_ != nullptr) std::fclose(file_);
   }
-  std::printf("%s: %zu simulations (%s), sweeping rho x b ...\n",
-              figure_name.c_str(), configs.size(), base.Describe().c_str());
-  std::fflush(stdout);
-  const auto runs = core::RunSweep(configs);
 
-  auto run_at = [&](std::size_t bi, std::size_t ri) -> const core::ExperimentRun& {
-    return runs[bi * rhos.size() + ri];
-  };
+  bool Open(const std::string& path) {
+    file_ = std::fopen(path.c_str(), "w");
+    if (file_ == nullptr) {
+      std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
+                   path.c_str());
+    }
+    return file_ != nullptr;
+  }
 
-  for (const Panel& panel : panels) {
-    std::printf("\n%s — %s\n", figure_name.c_str(), panel.title.c_str());
-    std::printf("%8s", "rho");
-    for (const double b : bursts) std::printf("  %12s=%-5.0f", "b", b);
-    std::printf("\n");
-    for (std::size_t ri = 0; ri < rhos.size(); ++ri) {
-      std::printf("%8.2f", rhos[ri]);
-      for (std::size_t bi = 0; bi < bursts.size(); ++bi) {
-        std::printf("  %18.2f", panel.metric(run_at(bi, ri).result));
+  void Write(const Fields& header, const std::vector<Fields>& rows) {
+    std::fprintf(file_, "{\n");
+    for (const Field& field : header) {
+      std::fprintf(file_, "  \"%s\": %s,\n", field.name, field.json.c_str());
+    }
+    std::fprintf(file_, "  \"rows\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      std::fprintf(file_, "    {");
+      for (std::size_t j = 0; j < rows[i].size(); ++j) {
+        std::fprintf(file_, "%s\"%s\": %s", j > 0 ? ", " : "",
+                     rows[i][j].name, rows[i][j].json.c_str());
       }
-      std::printf("\n");
+      std::fprintf(file_, "}%s\n", i + 1 < rows.size() ? "," : "");
     }
+    std::fprintf(file_, "  ]\n}\n");
+    std::fclose(file_);
+    file_ = nullptr;
   }
 
-  CsvWriter csv(csv_path,
-                {"figure", "rho", "b", "avg_pending_per_shard", "avg_latency",
-                 "max_latency", "p99_latency", "avg_leader_queue", "injected",
-                 "committed", "aborted", "unresolved", "max_pending",
-                 "messages"});
-  for (std::size_t bi = 0; bi < bursts.size(); ++bi) {
-    for (std::size_t ri = 0; ri < rhos.size(); ++ri) {
-      const auto& r = run_at(bi, ri).result;
-      csv.Row(figure_name, rhos[ri], bursts[bi], r.avg_pending_per_shard,
-              r.avg_latency, r.max_latency, r.p99_latency, r.avg_leader_queue,
-              r.injected, r.committed, r.aborted, r.unresolved, r.max_pending,
-              r.messages);
-    }
-  }
-  csv.Flush();
-  std::printf("\n[series written to %s]\n", csv_path.c_str());
-}
+ private:
+  std::FILE* file_ = nullptr;
+};
 
 }  // namespace stableshard::bench

@@ -1,9 +1,9 @@
 // Shard-parallel round-loop bench. Every mode runs on one small core:
 // RunOnce (a timed run plus its introspection), WorkerInvariant (workers 4
-// with every round pooled must match the serial run bit for bit), Record
-// (the BENCH_*.json writer), RunHeadToHead (fds vs the backpressure wrapper
-// over a list of cells) and CompareRoots (fds over one top root vs
-// several).
+// with every round pooled must match the serial run bit for bit),
+// bench::Record (the BENCH_*.json writer, shared with bench/paper),
+// RunHeadToHead (fds vs the backpressure wrapper over a list of cells) and
+// CompareRoots (fds over one top root vs several).
 //
 //   mode            record                   runs
 //   (default)       -                        one config on workers 1, 2, 4
@@ -29,7 +29,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,6 +44,8 @@
 namespace {
 
 using namespace stableshard;
+using bench::Fields;
+using bench::Record;
 
 struct TimedRun {
   std::string scheduler;  ///< Scheduler::name() of the run
@@ -158,74 +159,6 @@ bool WorkerInvariant(const core::SimConfig& config,
                static_cast<int>(field.size()), field.data());
   return false;
 }
-
-/// One named value of a record header or row, rendered as JSON: booleans
-/// as true/false, integers exactly, doubles with six decimals, anything
-/// else as a string.
-struct Field {
-  template <typename T>
-  Field(const char* field_name, const T& value) : name(field_name) {
-    if constexpr (std::is_same_v<T, bool>) {
-      json = value ? "true" : "false";
-    } else if constexpr (std::is_integral_v<T>) {
-      json = std::to_string(value);
-    } else if constexpr (std::is_floating_point_v<T>) {
-      char text[64];
-      std::snprintf(text, sizeof text, "%.6f", value);
-      json = text;
-    } else {
-      json = '"' + std::string(value) + '"';
-    }
-  }
-  const char* name;
-  std::string json;
-};
-using Fields = std::vector<Field>;
-
-/// The BENCH_*.json writer. A mode opens it before its first run, so an
-/// unwritable path exits 2 at once instead of after minutes of wall clock.
-/// Write puts the header fields one per line, then "rows" with one object
-/// per line.
-class Record {
- public:
-  Record() = default;
-  Record(const Record&) = delete;
-  Record& operator=(const Record&) = delete;
-  ~Record() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-
-  bool Open(const std::string& path) {
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_ == nullptr) {
-      std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                   path.c_str());
-    }
-    return file_ != nullptr;
-  }
-
-  void Write(const Fields& header, const std::vector<Fields>& rows) {
-    std::fprintf(file_, "{\n");
-    for (const Field& field : header) {
-      std::fprintf(file_, "  \"%s\": %s,\n", field.name, field.json.c_str());
-    }
-    std::fprintf(file_, "  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(file_, "    {");
-      for (std::size_t j = 0; j < rows[i].size(); ++j) {
-        std::fprintf(file_, "%s\"%s\": %s", j > 0 ? ", " : "",
-                     rows[i][j].name, rows[i][j].json.c_str());
-      }
-      std::fprintf(file_, "}%s\n", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(file_, "  ]\n}\n");
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-};
 
 /// Busiest-vs-mean ratio over the top-root leaders' inbound counts (0 when
 /// the run had no hierarchy or no traffic). 1.0 is perfectly balanced; the
@@ -458,6 +391,9 @@ int RunGrid(const Flags& flags) {
          {"max_single_leader_queue", parallel.result.max_single_leader_queue},
          {"root_leaders", parallel.root_leader_in.size()},
          {"root_leader_imbalance", RootLeaderImbalance(parallel)},
+         {"avg_pending_per_shard", parallel.result.avg_pending_per_shard},
+         {"avg_latency", parallel.result.avg_latency},
+         {"unresolved", parallel.result.unresolved},
          {"committed", parallel.result.committed},
          {"messages", parallel.result.messages}});
     return parallel;

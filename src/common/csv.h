@@ -1,5 +1,5 @@
-// Minimal CSV writer used by the benchmark harness to persist the series
-// behind every reproduced figure (one file per figure panel).
+// Minimal CSV writer: simulate_cli's --csv summary row and the ablation
+// benches' tables. Cells are written as they are, unquoted.
 #pragma once
 
 #include <fstream>

@@ -19,13 +19,7 @@ using test::SmallConfig;
 TEST(Engine, DeterministicForSameSeed) {
   const SimConfig config = SmallConfig("bds");
   Simulation a(config), b(config);
-  const auto ra = a.Run();
-  const auto rb = b.Run();
-  EXPECT_EQ(ra.injected, rb.injected);
-  EXPECT_EQ(ra.committed, rb.committed);
-  EXPECT_EQ(ra.messages, rb.messages);
-  EXPECT_DOUBLE_EQ(ra.avg_latency, rb.avg_latency);
-  EXPECT_DOUBLE_EQ(ra.avg_pending_per_shard, rb.avg_pending_per_shard);
+  test::ExpectBitIdenticalResults(a.Run(), b.Run());
 }
 
 TEST(Engine, DifferentSeedsDiffer) {
@@ -51,41 +45,9 @@ TEST(Engine, SweepMatchesSerialRuns) {
   const auto sweep = RunSweep(configs, /*threads=*/4);
   ASSERT_EQ(sweep.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto expected = RunWithWorkers(configs[i], 1);
-    EXPECT_EQ(sweep[i].result.injected, expected.injected) << "config " << i;
-    EXPECT_EQ(sweep[i].result.messages, expected.messages) << "config " << i;
-    EXPECT_DOUBLE_EQ(sweep[i].result.avg_latency, expected.avg_latency);
-  }
-}
-
-TEST(Engine, SweepWithInnerParallelConfigsMatchesSerialRuns) {
-  // Single-level parallelism policy: configs with worker_threads > 1 make
-  // RunSweep run them sequentially (no nested pools), and results must
-  // still equal fully serial runs of the same configs. Every inner round
-  // fans out: s = 16 never reaches the per-round gate.
-  std::vector<core::SimConfig> configs;
-  for (std::uint64_t seed : {11ull, 12ull}) {
-    SimConfig config = SmallConfig("fds");
-    config.rounds = 300;
-    config.drain_cap = 20000;
-    config.worker_threads = 4;
-    config.seed = seed;
-    configs.push_back(config);
-  }
-  const auto sweep =
-      RunSweep(configs, /*threads=*/4, /*pool_every_round=*/true);
-  ASSERT_EQ(sweep.size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(sweep[i].pooled_rounds, sweep[i].result.rounds_executed)
-        << "config " << i;
-    const auto expected = RunWithWorkers(configs[i], 1);
-    EXPECT_EQ(sweep[i].result.injected, expected.injected) << "config " << i;
-    EXPECT_EQ(sweep[i].result.committed, expected.committed) << "config " << i;
-    EXPECT_EQ(sweep[i].result.messages, expected.messages) << "config " << i;
-    EXPECT_EQ(sweep[i].result.max_pending, expected.max_pending);
-    EXPECT_DOUBLE_EQ(sweep[i].result.avg_latency, expected.avg_latency);
-    EXPECT_DOUBLE_EQ(sweep[i].result.avg_pending_per_shard,
-                     expected.avg_pending_per_shard);
+    SCOPED_TRACE("config " + std::to_string(i));
+    test::ExpectBitIdenticalResults(sweep[i].result,
+                                    RunWithWorkers(configs[i], 1));
   }
 }
 
