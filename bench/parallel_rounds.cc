@@ -141,6 +141,16 @@ core::SimConfig DrainedConfig(net::TopologyKind topology, ShardId shards,
   return config;
 }
 
+/// Every mode runs its base config through the one config check before it
+/// opens its record: a bad flag value exits 2 with the check's line, never
+/// an abort inside the engine.
+bool Usable(const core::SimConfig& config) {
+  const std::string error = core::ConfigError(config);
+  if (error.empty()) return true;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return false;
+}
+
 bool Identical(const core::SimResult& a, const core::SimResult& b) {
   return core::FirstDifferingField(a, b).empty();
 }
@@ -344,6 +354,13 @@ int RunGrid(const Flags& flags) {
   const std::string json_path =
       flags.GetString("json", "BENCH_scaling.json");
   if (!flags.FinishReads()) return 2;
+  // The s = 1024 diameter_span pair at the end; every grid cell shares
+  // its flag-set fields.
+  core::SimConfig diameter = bench::LargeGridConfig(
+      {net::TopologyKind::kLine, "fds", 1024}, rho, burst, rounds, radius);
+  diameter.seed = seed;
+  diameter.strategy = "diameter_span";
+  if (!Usable(diameter)) return 2;
   Record record;
   if (!record.Open(json_path)) return 2;
 
@@ -414,10 +431,6 @@ int RunGrid(const Flags& flags) {
   // top-layer epochs outlast the bench window, so both rows commit the
   // same count.
   std::printf("\ndiameter_span before/after (s=1024, line):\n");
-  core::SimConfig diameter = bench::LargeGridConfig(
-      {net::TopologyKind::kLine, "fds", 1024}, rho, burst, rounds, radius);
-  diameter.seed = seed;
-  diameter.strategy = "diameter_span";
   const auto [one_root, multiroot] = CompareRoots(diameter, 8, run_cell);
   std::printf(
       "busiest-shard inbound share %.2f%% -> %.2f%%; busiest root leader "
@@ -463,8 +476,6 @@ int RunPhases(const Flags& flags) {
   const std::string json_path =
       flags.GetString("json", "BENCH_pipeline.json");
   if (!flags.FinishReads()) return 2;
-  Record record;
-  if (!record.Open(json_path)) return 2;
 
   const std::vector<ShardId> sizes =
       smoke ? std::vector<ShardId>{64} : std::vector<ShardId>{256, 1024};
@@ -473,6 +484,13 @@ int RunPhases(const Flags& flags) {
             : std::vector<std::uint32_t>{1, 2, 4, 8};
   const std::pair<net::TopologyKind, const char*> cells[] = {
       {net::TopologyKind::kUniform, "bds"}, {net::TopologyKind::kLine, "fds"}};
+  core::SimConfig warm = bench::LargeGridConfig(
+      {cells[0].first, cells[0].second, sizes.front()}, rho, burst, rounds,
+      radius);
+  warm.seed = seed;
+  if (!Usable(warm)) return 2;
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   std::printf(
       "parallel_rounds phases: per-round wall-clock split; pooled rounds "
@@ -490,13 +508,7 @@ int RunPhases(const Flags& flags) {
   // a serial s = 256 BDS run about 8% slower. Without the warm-up only the
   // very first workers = 1 baseline would run single-threaded, and its
   // cells' speedups would carry that tax.
-  {
-    core::SimConfig warm = bench::LargeGridConfig(
-        {cells[0].first, cells[0].second, sizes.front()}, rho, burst, rounds,
-        radius);
-    warm.seed = seed;
-    RunOnce(warm, worker_grid.back());
-  }
+  RunOnce(warm, worker_grid.back());
 
   // Every (cell, workers) run, in sweep order. The repetitions are whole
   // sweeps, so a slow stretch of the host lands on every cell of one sweep
@@ -631,11 +643,6 @@ int RunBackpressure(const Flags& flags) {
   const std::string json_path =
       flags.GetString("json", "BENCH_backpressure.json");
   if (!flags.FinishReads()) return 2;
-  // Same contract as simulate_cli: watermark typos are input errors
-  // (exit 2), never reach the scheduler constructor's aborting check.
-  if (!core::ValidateBackpressureWatermarks(bp_low, bp_high)) return 2;
-  Record record;
-  if (!record.Open(json_path)) return 2;
 
   // Sustained overload on the line topology, no one-shot burst: the
   // leader queue must build from steady Zipf-skewed arrivals for
@@ -648,6 +655,9 @@ int RunBackpressure(const Flags& flags) {
   base.rounds = rounds;
   base.backpressure_high = bp_high;
   base.backpressure_low = bp_low;
+  if (!Usable(base)) return 2;
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   // Under real skew (theta >= 1) the shedding must strictly cut the hot
   // leader's queue peak; milder thetas are throughput no-regression cells.
@@ -716,9 +726,6 @@ int RunTraffic(const Flags& flags) {
   const std::uint64_t bp_low = flags.GetUint("bp-low", 12);
   const std::string json_path = flags.GetString("json", "BENCH_traffic.json");
   if (!flags.FinishReads()) return 2;
-  if (!core::ValidateBackpressureWatermarks(bp_low, bp_high)) return 2;
-  Record record;
-  if (!record.Open(json_path)) return 2;
 
   const struct {
     const char* shape;
@@ -747,9 +754,12 @@ int RunTraffic(const Flags& flags) {
         trace.records.empty() ? 1 : trace.records.back().round + 1;
     config.backpressure_high = bp_high;
     config.backpressure_low = bp_low;
+    if (!Usable(config)) return 2;
     cells.push_back({shape, theta, config, std::string(shape) == "migrating",
                      trace.records.size()});
   }
+  Record record;
+  if (!record.Open(json_path)) return 2;
 
   std::printf(
       "parallel_rounds traffic: open-loop trace replay, fds vs backpressure "
@@ -903,9 +913,17 @@ int RunFaults(const Flags& flags) {
   const std::string json_path =
       flags.GetString("json", "BENCH_recovery.json");
   if (!flags.FinishReads()) return 2;
-  if (!core::ValidateFaults(faults, /*wal_enabled=*/true, shards, rounds)) {
-    return 2;
-  }
+  // The churn side of every cell; the loop sets its scheduler and
+  // topology, and the fault-free side drops the plan.
+  core::SimConfig churn =
+      DrainedConfig(net::TopologyKind::kUniform, shards, seed);
+  churn.rho = rho;
+  churn.burstiness = 300;
+  churn.rounds = rounds;
+  churn.wal = true;
+  churn.checkpoint_interval = checkpoint_interval;
+  churn.faults = faults;
+  if (!Usable(churn)) return 2;
   Record record;
   if (!record.Open(json_path)) return 2;
 
@@ -923,17 +941,13 @@ int RunFaults(const Flags& flags) {
   const std::pair<net::TopologyKind, const char*> cells[] = {
       {net::TopologyKind::kUniform, "bds"}, {net::TopologyKind::kLine, "fds"}};
   for (const auto& [topology, scheduler] : cells) {
-    core::SimConfig base = DrainedConfig(topology, shards, seed);
-    base.scheduler = scheduler;
-    base.rho = rho;
-    base.burstiness = 300;
-    base.rounds = rounds;
-    base.wal = true;
-    base.checkpoint_interval = checkpoint_interval;
+    churn.topology = topology;
+    churn.hierarchy = bench::HierarchyFor(topology);
+    churn.scheduler = scheduler;
+    core::SimConfig clean_config = churn;
+    clean_config.faults.clear();
 
-    const TimedRun clean = RunOnce(base, 1);
-    core::SimConfig churn = base;
-    churn.faults = faults;
+    const TimedRun clean = RunOnce(clean_config, 1);
     const TimedRun faulted = RunOnce(churn, 1);
 
     for (const auto& [mode, run] :
@@ -1019,9 +1033,6 @@ int RunLeaderShare(const Flags& flags) {
       static_cast<std::uint32_t>(flags.GetUint("roots", 4));
   const std::uint64_t seed = flags.GetUint("seed", 42);
   if (!flags.FinishReads()) return 2;
-  // Same contract as simulate_cli: a bad root count is an input error
-  // (exit 2), never an abort inside the hierarchy builder.
-  if (!core::ValidateFdsTopRoots(roots)) return 2;
 
   core::SimConfig base = DrainedConfig(net::TopologyKind::kLine, shards, seed);
   base.scheduler = "fds";
@@ -1031,6 +1042,8 @@ int RunLeaderShare(const Flags& flags) {
   base.strategy = "diameter_span";
   base.abort_probability = 0;  // drained + no aborts => committed == injected
   base.rounds = rounds;
+  base.fds_top_roots = roots;  // CompareRoots runs 1 and then `roots`
+  if (!Usable(base)) return 2;
 
   std::printf(
       "parallel_rounds leadershare: fds (single top root) vs fds_multiroot "
@@ -1099,7 +1112,7 @@ int RunSingle(const Flags& flags) {
   config.seed = flags.GetUint("seed", 42);
   const auto max_workers = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, flags.GetUint("workers", 8)));
-  if (!flags.FinishReads()) return 2;
+  if (!flags.FinishReads() || !Usable(config)) return 2;
 
   std::printf("parallel_rounds: %s\n", config.Describe().c_str());
   std::printf("%8s %12s %10s %10s %12s\n", "workers", "seconds", "speedup",

@@ -10,11 +10,9 @@
 #include <cstdio>
 #include <string>
 
-#include "adversary/strategy_registry.h"
 #include "common/csv.h"
 #include "common/flags.h"
 #include "core/engine.h"
-#include "core/scheduler_registry.h"
 #include "traffic/trace.h"
 
 namespace {
@@ -89,31 +87,12 @@ constexpr const char* kUsage = R"(simulate_cli — StableShard simulation runner
                how many wall rounds a rejoin costs (default 4096; >= 1)
   --seed       RNG seed                      (default 42)
   --series     record the pending series with this window (rounds)
-  --csv        append one result row to this CSV file
+  --csv        write the header and one result row to this CSV file
+               (replacing it)
 )";
-
-/// Shared "unknown name" epilogue for registry-backed flags: false plus
-/// the sorted listing on stderr (the cli_unknown_*_exits_2 ctest checks
-/// grep this exact format).
-template <typename Registry>
-bool ValidateRegistryName(const Registry& registry, const char* flag,
-                          const std::string& name) {
-  if (registry.Contains(name)) return true;
-  std::fprintf(stderr, "unknown --%s=%s; registered:", flag, name.c_str());
-  for (const std::string& known : registry.Names()) {
-    std::fprintf(stderr, " %s", known.c_str());
-  }
-  std::fprintf(stderr, "\n");
-  return false;
-}
 
 bool ParseConfig(const Flags& flags, core::SimConfig* config) {
   config->scheduler = flags.GetString("scheduler", "bds");
-  if (!ValidateRegistryName(core::SchedulerRegistry::Global(), "scheduler",
-                            config->scheduler)) {
-    return false;
-  }
-
   const std::string default_topology =
       config->scheduler == "bds" ? "uniform" : "line";
   const std::string topology_name =
@@ -124,9 +103,27 @@ bool ParseConfig(const Flags& flags, core::SimConfig* config) {
     return false;
   }
   config->topology = *topology;
-  config->hierarchy = flags.GetString("hierarchy", "shifted") == "cover"
-                          ? core::HierarchyKind::kSparseCover
-                          : core::HierarchyKind::kLineShifted;
+  const std::string hierarchy = flags.GetString("hierarchy", "shifted");
+  if (hierarchy == "shifted") {
+    config->hierarchy = core::HierarchyKind::kLineShifted;
+  } else if (hierarchy == "cover") {
+    config->hierarchy = core::HierarchyKind::kSparseCover;
+  } else {
+    std::fprintf(stderr, "unknown --hierarchy=%s\n", hierarchy.c_str());
+    return false;
+  }
+  const std::string coloring = flags.GetString("coloring", "greedy");
+  if (coloring == "greedy") {
+    config->coloring = txn::ColoringAlgorithm::kGreedy;
+  } else if (coloring == "welsh_powell") {
+    config->coloring = txn::ColoringAlgorithm::kWelshPowell;
+  } else if (coloring == "dsatur") {
+    config->coloring = txn::ColoringAlgorithm::kDsatur;
+  } else {
+    std::fprintf(stderr, "unknown --coloring=%s\n", coloring.c_str());
+    return false;
+  }
+
   config->shards = static_cast<ShardId>(flags.GetUint("shards", 64));
   config->accounts =
       static_cast<AccountId>(flags.GetUint("accounts", config->shards));
@@ -144,100 +141,40 @@ bool ParseConfig(const Flags& flags, core::SimConfig* config) {
   config->abort_probability = flags.GetDouble("abort-prob", 0.0);
   config->fds_pipelined = !flags.GetBool("pinned", false);
   config->fds_reschedule = !flags.GetBool("no-reschedule", false);
-
   config->bds_color_leaders = static_cast<std::uint32_t>(
       flags.GetUint("bds-color-leaders", config->bds_color_leaders));
   config->fds_top_roots = static_cast<std::uint32_t>(
       flags.GetUint("fds-top-roots", config->fds_top_roots));
-  // Same exit-2 contract as the watermarks: a zero knob is an input
-  // error, not an SSHARD_CHECK abort in the scheduler/hierarchy builders.
-  if (!core::ValidateBdsColorLeaders(config->bds_color_leaders)) {
-    return false;
-  }
-  if (!core::ValidateFdsTopRoots(config->fds_top_roots)) {
-    return false;
-  }
-
   config->backpressure_high =
       flags.GetUint("bp-high", config->backpressure_high);
   config->backpressure_low =
       flags.GetUint("bp-low", config->backpressure_low);
-  // Validated here (exit 2), not just in the scheduler constructor
-  // (abort): a CLI typo is an input error, not an invariant violation.
-  if (!core::ValidateBackpressureWatermarks(config->backpressure_low,
-                                            config->backpressure_high)) {
-    return false;
-  }
-
   config->wal = flags.GetBool("wal", false);
   config->checkpoint_interval = static_cast<Round>(
       flags.GetUint("checkpoint-interval", config->checkpoint_interval));
-  if (!core::ValidateCheckpointInterval(config->checkpoint_interval,
-                                        config->wal)) {
-    return false;
-  }
   config->faults = flags.GetString("faults", "");
-  // Exit-2 contract again: a malformed churn spec (or one pointing at a
-  // shard/round that doesn't exist) is an input error, never the
-  // SSHARD_CHECK abort inside the engine constructor.
-  if (!core::ValidateFaults(config->faults, config->wal, config->shards,
-                            config->rounds)) {
-    return false;
-  }
   config->replay_bytes_per_round = flags.GetUint(
       "replay-bytes-per-round", config->replay_bytes_per_round);
-  if (!core::ValidateReplayBytesPerRound(config->replay_bytes_per_round)) {
-    return false;
-  }
-
   config->local_radius =
       static_cast<Distance>(flags.GetUint("radius", config->local_radius));
   config->zipf_theta = flags.GetDouble("zipf", config->zipf_theta);
-  if (config->zipf_theta < 0.0) {
-    std::fprintf(stderr, "--zipf must be >= 0 (got %g)\n", config->zipf_theta);
-    return false;
-  }
   config->arrival_rate = flags.GetDouble("arrival-rate", 0.0);
   config->arrival_burst = flags.GetDouble("burst", config->arrival_burst);
-  // Exit-2 contract: a bad open-loop rate/burst pair is an input error,
-  // never the SSHARD_CHECK abort in the engine constructor.
-  if (!core::ValidateArrivalRate(config->arrival_rate,
-                                 config->arrival_burst)) {
-    return false;
-  }
   config->trace = flags.GetString("trace", "");
   config->trace_out = flags.GetString("trace-out", "");
   config->strategy = flags.GetString(
       "strategy", config->trace.empty() ? "uniform_random" : "trace_replay");
-  if (!ValidateRegistryName(adversary::StrategyRegistry::Global(), "strategy",
-                            config->strategy)) {
-    return false;
-  }
-  // The trace/strategy/rate coupling and the trace file itself (magic,
-  // meta, checksum, record grammar) are input errors too: exit 2 with one
-  // "invalid trace: ..." line, never an abort inside the replayer.
-  if (!core::ValidateTraceConfig(config->trace, config->strategy,
-                                 config->arrival_rate)) {
-    return false;
-  }
-  if (!config->trace.empty() &&
-      !traffic::ValidateTraceFile(config->trace, config->shards,
-                                  config->accounts)) {
-    return false;
-  }
 
-  const std::string coloring = flags.GetString("coloring", "greedy");
-  if (coloring == "greedy") {
-    config->coloring = txn::ColoringAlgorithm::kGreedy;
-  } else if (coloring == "welsh_powell") {
-    config->coloring = txn::ColoringAlgorithm::kWelshPowell;
-  } else if (coloring == "dsatur") {
-    config->coloring = txn::ColoringAlgorithm::kDsatur;
-  } else {
-    std::fprintf(stderr, "unknown --coloring=%s\n", coloring.c_str());
+  // A bad value is an input error: exit 2 with one line naming the flag,
+  // never an abort inside the engine. The trace file itself (magic, meta,
+  // checksum, record grammar) is checked after the config.
+  if (const std::string error = core::ConfigError(*config); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return false;
   }
-  return true;
+  return config->trace.empty() ||
+         traffic::ValidateTraceFile(config->trace, config->shards,
+                                    config->accounts);
 }
 
 }  // namespace
@@ -332,7 +269,7 @@ int main(int argc, char** argv) {
             result.unresolved, result.avg_pending_per_shard,
             result.avg_latency, result.p99_latency, result.avg_leader_queue,
             result.messages);
-    std::printf("csv row appended    : %s\n", csv_path.c_str());
+    std::printf("csv row written     : %s\n", csv_path.c_str());
   }
   return 0;
 }

@@ -7,9 +7,10 @@
 // shards, same monotonic transaction ids (the open-loop factory assigns
 // them in pull order).
 //
-// Registered as "trace_replay"; requires SimConfig::trace (the CLIs
-// validate via traffic::ValidateTraceFile and exit 2, the builder
-// re-checks as an aborting invariant).
+// Registered as "trace_replay"; requires SimConfig::trace (core::ConfigError
+// checks the coupling and traffic::ValidateTraceFile the file, and the CLIs
+// exit 2 on either; the builder re-checks the loaded file as an aborting
+// invariant).
 #include <memory>
 #include <utility>
 

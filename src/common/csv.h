@@ -1,5 +1,6 @@
 // Minimal CSV writer: simulate_cli's --csv summary row and the ablation
-// benches' tables. Cells are written as they are, unquoted.
+// benches' tables. A cell holding a comma, a double quote or a line break
+// is quoted as RFC 4180 specifies; every other cell is written as it is.
 #pragma once
 
 #include <fstream>
@@ -11,7 +12,8 @@ namespace stableshard {
 
 class CsvWriter {
  public:
-  /// Opens `path` for writing and emits the header row.
+  /// Opens `path` for writing, replacing any earlier contents, and emits
+  /// the header row.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   /// True if the output file opened successfully.
@@ -32,10 +34,12 @@ class CsvWriter {
   template <typename T>
   static void AppendCell(std::ostringstream& line, const T& value,
                          bool& first) {
-    if (!first) line << ',';
-    first = false;
-    line << value;
+    std::ostringstream cell;
+    cell << value;
+    AppendCell(line, cell.str(), first);
   }
+  static void AppendCell(std::ostringstream& line, const std::string& cell,
+                         bool& first);
 
   std::ofstream out_;
 };

@@ -1,9 +1,12 @@
 #include "core/config.h"
 
 #include <bit>
+#include <cstdarg>
 #include <cstdio>
 #include <sstream>
 
+#include "adversary/strategy_registry.h"
+#include "core/scheduler_registry.h"
 #include "durability/fault_plan.h"
 
 namespace stableshard::core {
@@ -32,123 +35,125 @@ std::string SimConfig::Describe() const {
   return os.str();
 }
 
-bool ValidateBackpressureWatermarks(std::uint64_t low, std::uint64_t high) {
-  if (low <= high && high > 0) return true;
-  std::fprintf(stderr,
-               "invalid backpressure watermarks: need --bp-low <= "
-               "--bp-high and --bp-high > 0 (got low=%llu high=%llu)\n",
-               static_cast<unsigned long long>(low),
-               static_cast<unsigned long long>(high));
-  return false;
+namespace {
+
+[[gnu::format(printf, 1, 2)]] std::string Format(const char* format, ...) {
+  std::va_list args;
+  va_start(args, format);
+  std::va_list sized;
+  va_copy(sized, args);
+  std::string line(static_cast<std::size_t>(
+                       std::vsnprintf(nullptr, 0, format, sized)),
+                   '\0');
+  va_end(sized);
+  std::vsnprintf(line.data(), line.size() + 1, format, args);
+  va_end(args);
+  return line;
 }
 
-bool ValidateBdsColorLeaders(std::uint32_t bds_color_leaders) {
-  if (bds_color_leaders >= 1) return true;
-  std::fprintf(stderr,
-               "invalid bds-color-leaders: need --bds-color-leaders >= 1 "
-               "(got %u)\n",
-               bds_color_leaders);
-  return false;
+template <typename Registry>
+std::string UnknownName(const Registry& registry, const char* flag,
+                        const std::string& name) {
+  std::string line = "unknown --" + std::string(flag) + "=" + name +
+                     "; registered:";
+  for (const std::string& known : registry.Names()) line += " " + known;
+  return line;
 }
 
-bool ValidateFdsTopRoots(std::uint32_t fds_top_roots) {
-  if (fds_top_roots >= 1) return true;
-  std::fprintf(stderr,
-               "invalid fds-top-roots: need --fds-top-roots >= 1 (got %u)\n",
-               fds_top_roots);
-  return false;
-}
+}  // namespace
 
-bool ValidateFaults(const std::string& faults, bool wal_enabled,
-                    ShardId shards, Round rounds) {
+// Conditions are written as "not usable" so a NaN fails every one of them.
+std::string ConfigError(const SimConfig& config) {
+  if (config.shards < 1) return "invalid shards: need --shards >= 1 (got 0)";
+  if (config.accounts < 1) {
+    return "invalid accounts: need --accounts >= 1 (got 0)";
+  }
+  if (config.k < 1) return "invalid k: need --k >= 1 (got 0)";
+  if (!(config.rho > 0.0 && config.rho <= 1.0)) {
+    return Format("invalid rho: need 0 < --rho <= 1 (got %g)", config.rho);
+  }
+  if (!(config.burstiness > 0.0)) {
+    return Format("invalid b: need --b > 0 (got %g)", config.burstiness);
+  }
+  if (config.worker_threads < 1) {
+    return "invalid workers: need --workers >= 1 (got 0)";
+  }
+  if (!SchedulerRegistry::Global().Contains(config.scheduler)) {
+    return UnknownName(SchedulerRegistry::Global(), "scheduler",
+                       config.scheduler);
+  }
+  if (!adversary::StrategyRegistry::Global().Contains(config.strategy)) {
+    return UnknownName(adversary::StrategyRegistry::Global(), "strategy",
+                       config.strategy);
+  }
+  if (!(config.zipf_theta >= 0.0)) {
+    return Format("invalid zipf: need --zipf >= 0 (got %g)",
+                  config.zipf_theta);
+  }
+  if (!(config.arrival_rate >= 0.0)) {
+    return Format("invalid arrival-rate: need --arrival-rate >= 0 (got %g)",
+                  config.arrival_rate);
+  }
+  if (config.arrival_rate > 0.0 && !(config.arrival_burst >= 1.0)) {
+    return Format("invalid arrival-rate: open loop needs --burst >= 1 "
+                  "(got %g)",
+                  config.arrival_burst);
+  }
+  if (config.trace.empty() && config.strategy == "trace_replay") {
+    return "invalid trace: --strategy=trace_replay requires --trace";
+  }
+  if (!config.trace.empty() && config.strategy != "trace_replay") {
+    return Format("invalid trace: --trace requires --strategy=trace_replay "
+                  "(got --strategy=%s)",
+                  config.strategy.c_str());
+  }
+  if (!config.trace.empty() && config.arrival_rate > 0.0) {
+    return "invalid trace: --trace and --arrival-rate are exclusive (the "
+           "trace is the arrival schedule)";
+  }
+  if (config.bds_color_leaders < 1) {
+    return "invalid bds-color-leaders: need --bds-color-leaders >= 1 (got 0)";
+  }
+  if (config.fds_top_roots < 1) {
+    return "invalid fds-top-roots: need --fds-top-roots >= 1 (got 0)";
+  }
+  if (!(config.backpressure_low <= config.backpressure_high &&
+        config.backpressure_high > 0)) {
+    return Format("invalid backpressure watermarks: need --bp-low <= "
+                  "--bp-high and --bp-high > 0 (got low=%llu high=%llu)",
+                  static_cast<unsigned long long>(config.backpressure_low),
+                  static_cast<unsigned long long>(config.backpressure_high));
+  }
+  if (config.checkpoint_interval > 0 && !config.wal) {
+    return "invalid checkpoint-interval: --checkpoint-interval requires "
+           "--wal";
+  }
   durability::FaultPlan plan;
   std::string error;
-  if (!durability::ParseFaultPlan(faults, &plan, &error)) {
-    std::fprintf(stderr, "invalid faults: %s (spec \"%s\")\n", error.c_str(),
-                 faults.c_str());
-    return false;
+  if (!durability::ParseFaultPlan(config.faults, &plan, &error)) {
+    return Format("invalid faults: %s (spec \"%s\")", error.c_str(),
+                  config.faults.c_str());
   }
-  if (plan.empty()) return true;
-  if (!wal_enabled) {
-    std::fprintf(stderr, "invalid faults: --faults requires --wal\n");
-    return false;
+  if (!plan.empty() && !config.wal) {
+    return "invalid faults: --faults requires --wal";
   }
   for (const durability::FaultEvent& event : plan.events) {
-    if (event.shard >= shards) {
-      std::fprintf(stderr, "invalid faults: shard %u out of range (s=%u)\n",
-                   event.shard, shards);
-      return false;
+    if (event.shard >= config.shards) {
+      return Format("invalid faults: shard %u out of range (s=%u)",
+                    event.shard, config.shards);
     }
-    if (event.crash_round >= rounds) {
-      std::fprintf(stderr,
-                   "invalid faults: crash round %llu past the injection "
-                   "phase (rounds=%llu)\n",
-                   static_cast<unsigned long long>(event.crash_round),
-                   static_cast<unsigned long long>(rounds));
-      return false;
+    if (event.crash_round >= config.rounds) {
+      return Format("invalid faults: crash round %llu past the injection "
+                    "phase (rounds=%llu)",
+                    static_cast<unsigned long long>(event.crash_round),
+                    static_cast<unsigned long long>(config.rounds));
     }
   }
-  return true;
-}
-
-bool ValidateReplayBytesPerRound(std::uint64_t replay_bytes_per_round) {
-  if (replay_bytes_per_round >= 1) return true;
-  std::fprintf(stderr,
-               "invalid replay-bytes-per-round: need "
-               "--replay-bytes-per-round >= 1 (got 0)\n");
-  return false;
-}
-
-bool ValidateCheckpointInterval(Round checkpoint_interval, bool wal_enabled) {
-  if (checkpoint_interval == 0 || wal_enabled) return true;
-  std::fprintf(stderr,
-               "invalid checkpoint-interval: --checkpoint-interval requires "
-               "--wal\n");
-  return false;
-}
-
-bool ValidateArrivalRate(double arrival_rate, double arrival_burst) {
-  if (arrival_rate < 0.0) {
-    std::fprintf(stderr,
-                 "invalid arrival-rate: need --arrival-rate >= 0 (got %g)\n",
-                 arrival_rate);
-    return false;
+  if (config.replay_bytes_per_round < 1) {
+    return "invalid replay-bytes-per-round: need --replay-bytes-per-round "
+           ">= 1 (got 0)";
   }
-  if (arrival_rate > 0.0 && arrival_burst < 1.0) {
-    std::fprintf(stderr,
-                 "invalid arrival-rate: open loop needs --burst >= 1 "
-                 "(got %g)\n",
-                 arrival_burst);
-    return false;
-  }
-  return true;
-}
-
-bool ValidateTraceConfig(const std::string& trace, const std::string& strategy,
-                         double arrival_rate) {
-  if (trace.empty()) {
-    if (strategy == "trace_replay") {
-      std::fprintf(stderr,
-                   "invalid trace: --strategy=trace_replay requires "
-                   "--trace\n");
-      return false;
-    }
-    return true;
-  }
-  if (strategy != "trace_replay") {
-    std::fprintf(stderr,
-                 "invalid trace: --trace requires --strategy=trace_replay "
-                 "(got --strategy=%s)\n",
-                 strategy.c_str());
-    return false;
-  }
-  if (arrival_rate > 0.0) {
-    std::fprintf(stderr,
-                 "invalid trace: --trace and --arrival-rate are exclusive "
-                 "(the trace is the arrival schedule)\n");
-    return false;
-  }
-  return true;
+  return "";
 }
 
 namespace {

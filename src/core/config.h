@@ -25,6 +25,8 @@ inline constexpr std::uint64_t kDefaultBackpressureLow = 16;
 enum class HierarchyKind : std::uint8_t { kLineShifted, kSparseCover };
 enum class AccountAssignment : std::uint8_t { kRoundRobin, kRandom };
 
+/// Every field's limits are checked in one place, ConfigError below; the
+/// comments here name a limit only where it explains the field.
 struct SimConfig {
   // System (paper Section 7 defaults).
   ShardId shards = 64;
@@ -54,8 +56,7 @@ struct SimConfig {
   /// the pre-traffic engine. With a positive rate the registered strategy
   /// decides only transaction *shape*; timing is the schedule's, decoupled
   /// from commit progress — arrivals continue through crash stalls
-  /// (accruing as injection backlog) and into former drain rounds. CLIs
-  /// validate via ValidateArrivalRate and exit 2.
+  /// (accruing as injection backlog) and into former drain rounds.
   double arrival_rate = 0.0;
   /// Open-loop burst cap b: the one-shot clump released at `burst_round`
   /// (reusing the closed-loop knob; kNoRound = pure paced stream). Unlike
@@ -66,8 +67,7 @@ struct SimConfig {
   /// Replay arrivals + shapes from this trace file (traffic/trace.h).
   /// Non-empty selects open-loop trace mode: requires
   /// strategy == "trace_replay" and arrival_rate == 0, and the file's meta
-  /// shard/account counts must match this config. CLIs validate via
-  /// ValidateTraceConfig + traffic::ValidateTraceFile and exit 2.
+  /// shard/account counts must match this config.
   std::string trace;
   /// Record this run's injection stream (closed- or open-loop) to a trace
   /// file at the end of Run() — the TraceWriter feed for golden replays.
@@ -92,27 +92,24 @@ struct SimConfig {
   /// signal reaches `backpressure_high` is marked hot and new transactions
   /// homed there are parked in the home shard's spill queue; once the
   /// signal falls back to `backpressure_low` the spill re-enters, paced.
-  /// Requires low <= high and high > 0 (hysteresis — the scheduler's
-  /// constructor dies otherwise and the CLIs exit 2 before constructing
-  /// anything). The registry builder copies these into
-  /// consensus::BackpressureConfig.
+  /// Requires low <= high and high > 0 (hysteresis). The registry builder
+  /// copies these into consensus::BackpressureConfig; the scheduler
+  /// constructor re-checks them for direct construction.
   std::uint64_t backpressure_high = kDefaultBackpressureHigh;
   std::uint64_t backpressure_low = kDefaultBackpressureLow;
   /// Sharded-leader BDS (the "bds" scheduler, which reports its name as
   /// "bds_sharded" above 1): number of co-leader shards the epoch leader
   /// partitions its color classes across (color c -> co-leader c mod L).
   /// 1 = the paper's single-leader commit path; values above the shard
-  /// count are clamped. Must be >= 1; CLIs validate
-  /// via ValidateBdsColorLeaders and exit 2, the scheduler constructor
-  /// re-checks as an aborting invariant.
+  /// count are clamped. Must be >= 1; the scheduler constructor re-checks
+  /// it for direct construction.
   std::uint32_t bds_color_leaders = 1;
   /// Multi-root FDS hierarchy (the "fds" scheduler, which reports its name
   /// as "fds_multiroot" above 1, and the backpressure wrapper): number of
   /// interchangeable full-membership top-layer roots diameter-spanning
   /// transactions hash across. 1 = the classic single-top
   /// hierarchy; values above the shard count are clamped. Must be >= 1;
-  /// CLIs validate via ValidateFdsTopRoots and exit 2, the hierarchy
-  /// builder re-checks as an aborting invariant.
+  /// the hierarchy builder re-checks it for direct construction.
   std::uint32_t fds_top_roots = 1;
 
   // Durability & crash recovery (src/durability/).
@@ -130,12 +127,10 @@ struct SimConfig {
   /// durability/fault_plan.h): crash each listed shard at its round
   /// boundary, keep it down for <down> rounds, then replay it from
   /// checkpoint + WAL and rejoin. Requires `wal`; crash rounds must be
-  /// < `rounds` and shards in range. CLIs validate via ValidateFaults and
-  /// exit 2; the engine constructor re-checks as an aborting invariant.
+  /// < `rounds` and shards in range.
   std::string faults;
   /// Recovery pacing: one stalled round per this many replayed WAL bytes
-  /// (plus one base round). Must be >= 1; CLIs validate via
-  /// ValidateReplayBytesPerRound and exit 2.
+  /// (plus one base round). Must be >= 1.
   std::uint64_t replay_bytes_per_round = 4096;
 
   // Run control.
@@ -163,70 +158,19 @@ struct SimConfig {
   std::string Describe() const;
 };
 
-/// CLI-shared validation for the backpressure watermark pair: true when
-/// usable (low <= high, high > 0), otherwise prints one "invalid
-/// backpressure watermarks: ..." line to stderr and returns false so the
-/// caller can exit 2. One source of truth for the condition and the
-/// message (the cli_invalid_backpressure_exits_2 ctest greps it); the
-/// scheduler constructor re-checks the same condition as an aborting
-/// invariant for non-CLI embedders.
-bool ValidateBackpressureWatermarks(std::uint64_t low, std::uint64_t high);
-
-/// CLI-shared validation for the sharded-BDS co-leader count: true when
-/// usable (>= 1), otherwise prints one "invalid bds-color-leaders: ..."
-/// line to stderr and returns false so the caller can exit 2 (the
-/// cli_invalid_color_leaders_exits_2 ctest greps it). The scheduler
-/// constructor re-checks the condition as an aborting invariant.
-bool ValidateBdsColorLeaders(std::uint32_t bds_color_leaders);
-
-/// CLI-shared validation for the multi-root FDS top-root count: true when
-/// usable (>= 1), otherwise prints one "invalid fds-top-roots: ..." line to
-/// stderr and returns false so the caller can exit 2 (the
-/// cli_invalid_top_roots_exits_2 ctest greps it). The hierarchy builders
-/// re-check the condition as an aborting invariant.
-bool ValidateFdsTopRoots(std::uint32_t fds_top_roots);
-
-/// CLI-shared validation for the churn schedule: true when `faults` parses
-/// (durability::ParseFaultPlan grammar), every event targets a shard
-/// < `shards` at a crash round < `rounds`, and — when non-empty —
-/// `wal_enabled` is set (recovery without a log is not a scenario, it is
-/// data loss). Otherwise prints one "invalid faults: ..." line to stderr
-/// and returns false so the caller can exit 2 (the
-/// cli_invalid_faults_exits_2 ctest greps it). The engine constructor
-/// re-checks as an aborting invariant.
-bool ValidateFaults(const std::string& faults, bool wal_enabled,
-                    ShardId shards, Round rounds);
-
-/// CLI-shared validation for the recovery pacing divisor: true when >= 1,
-/// otherwise prints one "invalid replay-bytes-per-round: ..." line to
-/// stderr and returns false so the caller can exit 2. The engine
-/// constructor re-checks as an aborting invariant.
-bool ValidateReplayBytesPerRound(std::uint64_t replay_bytes_per_round);
-
-/// CLI-shared validation for the checkpoint cadence: true when 0 (never)
-/// or when `wal_enabled` — a checkpoint without the log it bounds replay
-/// for is meaningless. Otherwise prints one "invalid
-/// checkpoint-interval: ..." line to stderr and returns false so the
-/// caller can exit 2. The engine constructor re-checks as an aborting
-/// invariant.
-bool ValidateCheckpointInterval(Round checkpoint_interval, bool wal_enabled);
-
-/// CLI-shared validation for the open-loop arrival knobs: true when
-/// `arrival_rate` >= 0 and, when positive, `arrival_burst` >= 1. Otherwise
-/// prints one "invalid arrival-rate: ..." line to stderr and returns false
-/// so the caller can exit 2. The engine constructor re-checks as an
-/// aborting invariant.
-bool ValidateArrivalRate(double arrival_rate, double arrival_burst);
-
-/// CLI-shared validation for the trace/strategy/rate coupling: a non-empty
-/// `trace` requires strategy "trace_replay" and arrival_rate == 0 (the two
-/// open-loop modes are exclusive), and "trace_replay" requires a trace.
-/// Prints one "invalid trace: ..." line to stderr and returns false so the
-/// caller can exit 2. File-level validation (parse, checksum, meta match)
-/// is traffic::ValidateTraceFile; the engine constructor re-checks both as
-/// aborting invariants.
-bool ValidateTraceConfig(const std::string& trace, const std::string& strategy,
-                         double arrival_rate);
+/// The one check of a SimConfig: "" when the engine can run it, otherwise
+/// the first problem as one line, "invalid <flag>: ..." or, for a name no
+/// registry holds, "unknown --<flag>=<name>; registered: <sorted names>".
+/// <flag> is the simulate_cli flag that sets the field. It covers the
+/// paper's model limits (shards, accounts and k >= 1, 0 < rho <= 1, b > 0),
+/// worker_threads >= 1, the registry names, zipf_theta >= 0, the arrival
+/// knobs, the trace/strategy/rate coupling, the leader-sharding knobs, the
+/// backpressure watermarks (low <= high, high > 0), checkpoint and fault
+/// plan against the WAL, fault shards and crash rounds in range, and the
+/// replay pacing. It reads no file: traffic::ValidateTraceFile checks the
+/// trace itself. The CLIs print the line and exit 2; the Simulation
+/// constructor prints it and aborts.
+std::string ConfigError(const SimConfig& config);
 
 /// Aggregated outcome of one simulation run.
 struct SimResult {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 
 #include "adversary/strategy_registry.h"
 #include "common/check.h"
@@ -40,40 +41,13 @@ constexpr std::uint64_t kMinOffloadedWork = 512;
 
 Simulation::Simulation(const SimConfig& config)
     : config_(config), rng_(config.seed) {
-  SSHARD_CHECK(config.shards >= 1);
-  SSHARD_CHECK(config.accounts >= 1);
-  SSHARD_CHECK(config.k >= 1);
-  SSHARD_CHECK(config.rho > 0.0 && config.rho <= 1.0);
-  SSHARD_CHECK(config.burstiness > 0.0);
-  SSHARD_CHECK(config.worker_threads >= 1);
-  SSHARD_CHECK(config.bds_color_leaders >= 1);
-  SSHARD_CHECK(config.fds_top_roots >= 1);
-  SSHARD_CHECK(config.replay_bytes_per_round >= 1);
-  SSHARD_CHECK(config.checkpoint_interval == 0 || config.wal);
-  SSHARD_CHECK(config.arrival_rate >= 0.0);
-  SSHARD_CHECK(config.arrival_rate == 0.0 || config.arrival_burst >= 1.0);
-  if (!config.trace.empty()) {
-    SSHARD_CHECK(config.strategy == "trace_replay" &&
-                 "a trace requires the trace_replay strategy");
-    SSHARD_CHECK(config.arrival_rate == 0.0 &&
-                 "trace and arrival_rate are exclusive");
-  } else {
-    SSHARD_CHECK(config.strategy != "trace_replay" &&
-                 "trace_replay requires SimConfig::trace");
+  if (const std::string error = ConfigError(config); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    SSHARD_CHECK(false && "unusable SimConfig");
   }
   open_loop_ = !config.trace.empty() || config.arrival_rate > 0.0;
-  std::string fault_error;
-  SSHARD_CHECK(
-      durability::ParseFaultPlan(config.faults, &fault_plan_, &fault_error) &&
-      "unparseable SimConfig::faults spec");
-  if (!fault_plan_.empty()) {
-    SSHARD_CHECK(config.wal && "faults require the WAL");
-    for (const durability::FaultEvent& event : fault_plan_.events) {
-      SSHARD_CHECK(event.shard < config.shards && "fault shard out of range");
-      SSHARD_CHECK(event.crash_round < config.rounds &&
-                   "fault crash round past the injection phase");
-    }
-  }
+  // ConfigError has parsed the spec once already, so this cannot fail.
+  durability::ParseFaultPlan(config.faults, &fault_plan_, nullptr);
 
   metric_ = net::MakeMetric(config.topology, config.shards, &rng_);
 

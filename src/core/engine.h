@@ -81,6 +81,8 @@ struct PhaseTimes {
 
 class Simulation {
  public:
+  /// Aborts after printing core::ConfigError's line when `config` is
+  /// unusable.
   explicit Simulation(const SimConfig& config);
   ~Simulation();
 

@@ -22,9 +22,10 @@
 // under the call-order/thread-ownership contract of core/scheduler.h —
 // a registered scheduler automatically enters the matrix harness
 // (tests/matrix_test.cc), so it must uphold the bit-identity-across-
-// workers determinism obligation from day one. Builders that validate
-// config (e.g. backpressure's watermarks) should die via SSHARD_CHECK;
-// CLIs validate the same conditions first and exit 2.
+// workers determinism obligation from day one. The Simulation constructor
+// runs core::ConfigError before any builder; a builder that re-checks a
+// limit for direct construction (e.g. backpressure's watermarks) dies via
+// SSHARD_CHECK.
 #pragma once
 
 #include <functional>

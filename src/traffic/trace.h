@@ -28,7 +28,7 @@
 //
 // Like the fault-plan grammar, parsing is strict and the CLI contract is
 // exit 2 with one "invalid trace: ..." line (ValidateTraceFile); the
-// engine re-checks with SSHARD_CHECK for non-CLI embedders.
+// engine re-checks the loaded file with SSHARD_CHECK for non-CLI embedders.
 #pragma once
 
 #include <cstdint>
@@ -78,11 +78,11 @@ bool LoadTraceFile(const std::string& path, Trace* trace, std::string* error);
 bool WriteTraceFile(const std::string& path, const Trace& trace,
                     std::string* error);
 
-/// CLI-shared validation: true when `path` loads, parses, and matches the
-/// run's shard/account counts; otherwise prints one "invalid trace: ..."
-/// line to stderr and returns false so the caller can exit 2 (the
-/// cli_invalid_trace_exits_2 ctest greps it). The engine constructor
-/// re-checks as an aborting invariant.
+/// The file-level half of the config check (core::ConfigError covers the
+/// trace/strategy/rate coupling and reads no file): true when `path`
+/// loads, parses, and matches the run's shard/account counts; otherwise
+/// prints one "invalid trace: ..." line to stderr and returns false so the
+/// caller can exit 2.
 bool ValidateTraceFile(const std::string& path, ShardId shards,
                        AccountId accounts);
 

@@ -191,6 +191,9 @@ TEST(Csv, WritesHeaderAndRows) {
     ASSERT_TRUE(csv.ok());
     csv.Row(1, 2.5, "x");
     csv.Row("y", 3, 4);
+    // RFC 4180: a cell with a comma or a double quote is quoted, and its
+    // quotes are doubled, so the row keeps three cells.
+    csv.Row("faults=0@5+3,1@8+2", "say \"hi\"", 5);
     csv.Flush();
   }
   std::ifstream in(path);
@@ -201,6 +204,8 @@ TEST(Csv, WritesHeaderAndRows) {
   EXPECT_EQ(line, "1,2.5,x");
   std::getline(in, line);
   EXPECT_EQ(line, "y,3,4");
+  std::getline(in, line);
+  EXPECT_EQ(line, "\"faults=0@5+3,1@8+2\",\"say \"\"hi\"\"\",5");
 }
 
 TEST(ThreadPool, RunsAllTasks) {

@@ -158,5 +158,14 @@ TEST(EngineDeath, InvalidRhoRejected) {
   EXPECT_DEATH(Simulation sim2(config), "SSHARD_CHECK");
 }
 
+// The constructor runs the same check the CLIs exit 2 on and prints its
+// line before aborting.
+TEST(EngineDeath, UnusableConfigPrintsTheConfigErrorLine) {
+  SimConfig config = SmallConfig("bds");
+  config.shards = 0;
+  EXPECT_DEATH(Simulation sim(config),
+               "invalid shards: need --shards >= 1 \\(got 0\\)");
+}
+
 }  // namespace
 }  // namespace stableshard

@@ -1,8 +1,9 @@
 // Unit tests for the command-line flag parser used by simulate_cli, plus
-// the SimConfig knob validators the CLIs call before construction (the
-// exit-2 path; the aborting constructor checks are covered by the
-// schedulers' own tests).
+// core::ConfigError, the one SimConfig check the CLIs exit 2 on and the
+// Simulation constructor aborts on.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "common/flags.h"
 #include "core/config.h"
@@ -150,21 +151,120 @@ TEST(Flags, MalformedBoolIsAnError) {
   EXPECT_NE(flags.error().find("boolean"), std::string::npos);
 }
 
-TEST(ConfigValidators, BdsColorLeaders) {
-  // Zero co-leaders is an input error (the CLI exits 2 on false); every
-  // positive count is valid — over-large values are clamped by the
-  // scheduler, not rejected here.
-  EXPECT_FALSE(core::ValidateBdsColorLeaders(0));
-  EXPECT_TRUE(core::ValidateBdsColorLeaders(1));
-  EXPECT_TRUE(core::ValidateBdsColorLeaders(4));
-  EXPECT_TRUE(core::ValidateBdsColorLeaders(1u << 20));
-}
-
-TEST(ConfigValidators, FdsTopRoots) {
-  EXPECT_FALSE(core::ValidateFdsTopRoots(0));
-  EXPECT_TRUE(core::ValidateFdsTopRoots(1));
-  EXPECT_TRUE(core::ValidateFdsTopRoots(8));
-  EXPECT_TRUE(core::ValidateFdsTopRoots(1u << 20));
+// One row per condition core::ConfigError checks: the field change and
+// the start of the line it must return ("" = usable). The CLIs print that
+// line and exit 2, and the cli_*_exits_2 ctests grep it.
+TEST(ConfigError, OneRowPerCondition) {
+  using core::SimConfig;
+  const struct {
+    const char* name;
+    void (*edit)(SimConfig&);
+    const char* expected;
+  } cases[] = {
+      {"default", [](SimConfig&) {}, ""},
+      {"shards", [](SimConfig& c) { c.shards = 0; }, "invalid shards: "},
+      {"accounts", [](SimConfig& c) { c.accounts = 0; }, "invalid accounts: "},
+      {"k", [](SimConfig& c) { c.k = 0; }, "invalid k: "},
+      {"rho zero", [](SimConfig& c) { c.rho = 0; }, "invalid rho: "},
+      {"rho above one", [](SimConfig& c) { c.rho = 1.5; }, "invalid rho: "},
+      {"rho nan", [](SimConfig& c) { c.rho = std::nan(""); }, "invalid rho: "},
+      {"rho one", [](SimConfig& c) { c.rho = 1.0; }, ""},
+      {"b", [](SimConfig& c) { c.burstiness = 0; }, "invalid b: "},
+      {"workers", [](SimConfig& c) { c.worker_threads = 0; },
+       "invalid workers: "},
+      {"scheduler", [](SimConfig& c) { c.scheduler = "nope"; },
+       "unknown --scheduler=nope; registered: backpressure bds direct fds"},
+      {"strategy", [](SimConfig& c) { c.strategy = "nope"; },
+       "unknown --strategy=nope; registered: diameter_span hot_destination"},
+      {"zipf", [](SimConfig& c) { c.zipf_theta = -1; }, "invalid zipf: "},
+      {"arrival rate", [](SimConfig& c) { c.arrival_rate = -1; },
+       "invalid arrival-rate: need --arrival-rate >= 0"},
+      {"arrival burst",
+       [](SimConfig& c) {
+         c.arrival_rate = 2;
+         c.arrival_burst = 0.5;
+       },
+       "invalid arrival-rate: open loop needs --burst >= 1"},
+      {"replay without trace",
+       [](SimConfig& c) { c.strategy = "trace_replay"; },
+       "invalid trace: --strategy=trace_replay requires --trace"},
+      {"trace without replay", [](SimConfig& c) { c.trace = "t.trace"; },
+       "invalid trace: --trace requires --strategy=trace_replay"},
+      {"trace and rate",
+       [](SimConfig& c) {
+         c.trace = "t.trace";
+         c.strategy = "trace_replay";
+         c.arrival_rate = 2;
+       },
+       "invalid trace: --trace and --arrival-rate are exclusive"},
+      // The file is not read: traffic::ValidateTraceFile checks it.
+      {"missing trace file",
+       [](SimConfig& c) {
+         c.trace = "/nonexistent.trace";
+         c.strategy = "trace_replay";
+       },
+       ""},
+      {"bds color leaders", [](SimConfig& c) { c.bds_color_leaders = 0; },
+       "invalid bds-color-leaders: "},
+      {"many color leaders",
+       [](SimConfig& c) { c.bds_color_leaders = 1u << 20; }, ""},
+      {"fds top roots", [](SimConfig& c) { c.fds_top_roots = 0; },
+       "invalid fds-top-roots: "},
+      {"inverted watermarks",
+       [](SimConfig& c) {
+         c.backpressure_low = 9;
+         c.backpressure_high = 1;
+       },
+       "invalid backpressure watermarks: "},
+      {"zero high watermark",
+       [](SimConfig& c) {
+         c.backpressure_low = 0;
+         c.backpressure_high = 0;
+       },
+       "invalid backpressure watermarks: "},
+      {"checkpoint without wal",
+       [](SimConfig& c) { c.checkpoint_interval = 10; },
+       "invalid checkpoint-interval: --checkpoint-interval requires --wal"},
+      {"unparseable faults", [](SimConfig& c) { c.faults = "0@x"; },
+       "invalid faults: "},
+      {"faults without wal", [](SimConfig& c) { c.faults = "0@5+3"; },
+       "invalid faults: --faults requires --wal"},
+      {"fault shard",
+       [](SimConfig& c) {
+         c.wal = true;
+         c.faults = "64@5+3";
+       },
+       "invalid faults: shard 64 out of range (s=64)"},
+      {"fault round",
+       [](SimConfig& c) {
+         c.wal = true;
+         c.rounds = 10;
+         c.faults = "0@10+3";
+       },
+       "invalid faults: crash round 10 past the injection phase"},
+      {"faults with wal",
+       [](SimConfig& c) {
+         c.wal = true;
+         c.checkpoint_interval = 10;
+         c.faults = "0@5+3,1@8+2";
+       },
+       ""},
+      {"replay pacing", [](SimConfig& c) { c.replay_bytes_per_round = 0; },
+       "invalid replay-bytes-per-round: "},
+  };
+  for (const auto& test_case : cases) {
+    SimConfig config;
+    test_case.edit(config);
+    const std::string error = core::ConfigError(config);
+    const std::string expected = test_case.expected;
+    if (expected.empty()) {
+      EXPECT_EQ(error, "") << test_case.name;
+    } else {
+      EXPECT_EQ(error.rfind(expected, 0), 0u)
+          << test_case.name << ": got \"" << error << "\"";
+      EXPECT_EQ(error.find('\n'), std::string::npos) << test_case.name;
+    }
+  }
 }
 
 }  // namespace

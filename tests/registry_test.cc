@@ -150,18 +150,20 @@ using RegistryDeathTest = ::testing::Test;
 TEST(RegistryDeathTest, UnknownSchedulerDies) {
   SimConfig config = SmallConfig("bds");
   config.scheduler = "no_such_scheduler";
-  // The abort message carries the sorted list of known names.
+  // The abort message (core::ConfigError's line) carries the sorted list
+  // of known names.
   EXPECT_DEATH(Simulation sim(config),
-               "unknown scheduler.*registered:.*bds.*direct.*fds");
+               "unknown --scheduler=no_such_scheduler; "
+               "registered:.*bds.*direct.*fds");
 }
 
 TEST(RegistryDeathTest, UnknownStrategyDies) {
   SimConfig config = SmallConfig("bds");
   config.strategy = "no_such_strategy";
   // Sorted listing: diameter_span < hotspot < uniform_random.
-  EXPECT_DEATH(
-      Simulation sim(config),
-      "unknown strategy.*registered:.*diameter_span.*hotspot.*uniform_random");
+  EXPECT_DEATH(Simulation sim(config),
+               "unknown --strategy=no_such_strategy; "
+               "registered:.*diameter_span.*hotspot.*uniform_random");
 }
 
 TEST(RegistryDeathTest, DuplicateRegistrationDies) {
