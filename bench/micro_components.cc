@@ -1,36 +1,24 @@
 // Hot-path micro-benchmark regression harness (BENCH_micro.json).
 //
-// Three tracked comparisons, each new implementation against the exact
-// pre-rewrite ("legacy") implementation it replaced — the legacy code
-// lives in this translation unit (and BuildLegacyAdjacency in the
-// library, doubling as the differential-test oracle) so the comparison
-// survives the rewrite:
+// One tracked comparison, the engine's coloring scratch against the exact
+// pre-arena ("legacy") implementation it replaced, which lives in this
+// translation unit so the comparison survives the rewrite:
 //
-//   csr_build          ConflictGraph's flat CSR two-pass build + bitmap
-//                      row dedup vs the vector-of-vectors sort-based
-//                      inverted-index build;
-//   greedy_bounded_marks  ColorGraph's Delta+2-slot stamp-mark array vs
-//                      the n+1-slot legacy one (same stores, cache-sized
-//                      — bitsets lose here: marking must stay a pure
-//                      store, not a word RMW);
-//   bitset_dsatur      ColorGraph's uint64 saturation bitsets vs the
-//                      std::set<Color> saturation sets;
 //   arena_scratch      ColorShardCliques' bump-allocated step scratch
 //                      (persistent arena, Reset per epoch — the
 //                      scheduler steady state) vs the heap-allocating
 //                      unordered_map + vector<vector<bool>> original.
 //
-// Every comparison also asserts the two sides produce identical output
-// (same adjacency, same color vector) — the harness is a correctness
-// differential first and a timing record second. Timings are best-of-N
-// wall clock; on a noisy/1-vCPU box treat the speedup columns as
-// indicative, the identity checks as binding.
+// The comparison also asserts both sides produce the identical color
+// vector — the harness is a correctness differential first and a timing
+// record second. Timings are best-of-N wall clock; on a noisy box treat
+// the speedup column as indicative, the identity check as binding.
 //
 //   build/bench/micro_components [--smoke] [--reps=5]
 //       [--json=BENCH_micro.json]
 //
 // --smoke shrinks the workloads and reps for the CI perf-label ctest
-// (micro_components_smoke); the identity checks still run in full.
+// (micro_components_smoke); the identity check still runs in full.
 // A second, non-comparative "components" section times the remaining
 // round-loop constituents (network delivery, hierarchy build, token
 // buckets, one PBFT instance) so their cost stays visible in the JSON.
@@ -39,9 +27,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -56,7 +42,6 @@
 #include "net/metric.h"
 #include "net/network.h"
 #include "txn/coloring.h"
-#include "txn/conflict_graph.h"
 #include "txn/txn_factory.h"
 
 namespace {
@@ -106,66 +91,8 @@ double BestOf(int reps, Fn&& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy implementations (verbatim pre-rewrite behavior), kept here as the
-// timing baselines and identity oracles.
-
-/// Pre-bitset greedy: per-color mark vector stamped with the current step.
-txn::ColoringResult LegacyGreedyInOrder(
-    const txn::ConflictGraph& graph,
-    const std::vector<std::uint32_t>& order) {
-  const std::size_t n = graph.size();
-  txn::ColoringResult result;
-  result.color.assign(n, kUncolored);
-  std::vector<std::uint32_t> mark(n + 1, UINT32_MAX);
-  for (std::uint32_t step = 0; step < order.size(); ++step) {
-    const std::uint32_t v = order[step];
-    for (const std::uint32_t u : graph.neighbors(v)) {
-      if (result.color[u] != kUncolored) {
-        mark[result.color[u]] = step;
-      }
-    }
-    Color chosen = 0;
-    while (mark[chosen] == step) ++chosen;
-    result.color[v] = chosen;
-    result.num_colors = std::max(result.num_colors, chosen + 1);
-  }
-  return result;
-}
-
-/// Pre-bitset DSATUR: std::set<Color> saturation sets, std::set priority
-/// queue keyed (saturation, degree, ~v).
-txn::ColoringResult LegacyDsatur(const txn::ConflictGraph& graph) {
-  const std::size_t n = graph.size();
-  txn::ColoringResult result;
-  result.color.assign(n, kUncolored);
-  result.used = txn::ColoringAlgorithm::kDsatur;
-  if (n == 0) return result;
-
-  std::vector<std::set<Color>> neighbor_colors(n);
-  auto priority = [&](std::uint32_t v) {
-    return std::tuple(neighbor_colors[v].size(), graph.degree(v),
-                      ~static_cast<std::uint32_t>(v));
-  };
-  std::set<std::tuple<std::size_t, std::size_t, std::uint32_t>> queue;
-  for (std::uint32_t v = 0; v < n; ++v) queue.insert(priority(v));
-
-  for (std::size_t colored = 0; colored < n; ++colored) {
-    const auto top = *queue.rbegin();
-    queue.erase(std::prev(queue.end()));
-    const std::uint32_t v = ~std::get<2>(top);
-    Color chosen = 0;
-    while (neighbor_colors[v].count(chosen) != 0) ++chosen;
-    result.color[v] = chosen;
-    result.num_colors = std::max(result.num_colors, chosen + 1);
-    for (const std::uint32_t u : graph.neighbors(v)) {
-      if (result.color[u] != kUncolored) continue;
-      queue.erase(priority(u));
-      neighbor_colors[u].insert(chosen);
-      queue.insert(priority(u));
-    }
-  }
-  return result;
-}
+// Legacy implementation (verbatim pre-arena behavior), kept here as the
+// timing baseline and identity oracle.
 
 /// Pre-arena clique coloring: unordered_map shard index, heap-allocated
 /// ordering arrays and per-shard vector<bool> marks, all freed on return.
@@ -250,20 +177,6 @@ bool SameColoring(const txn::ColoringResult& a,
   return a.num_colors == b.num_colors && a.color == b.color;
 }
 
-/// CSR rows vs the vector-of-vectors oracle, element for element.
-bool SameAdjacency(const txn::ConflictGraph& graph,
-                   const std::vector<std::vector<std::uint32_t>>& legacy) {
-  if (graph.size() != legacy.size()) return false;
-  for (std::size_t v = 0; v < legacy.size(); ++v) {
-    const auto row = graph.neighbors(v);
-    if (!std::equal(row.begin(), row.end(), legacy[v].begin(),
-                    legacy[v].end())) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -298,82 +211,6 @@ int main(int argc, char** argv) {
     all_identical = all_identical && identical;
     comparisons.push_back(row);
   };
-
-  // -- csr_build: flat CSR two-pass build vs vector-of-vectors. Shard
-  // granularity (what the schedulers color); 64 shards, k = 8 keeps the
-  // per-shard cliques dense enough that the build is allocation-bound.
-  {
-    const std::vector<std::size_t> sizes =
-        smoke ? std::vector<std::size_t>{512}
-              : std::vector<std::size_t>{1024, 4096};
-    for (const std::size_t n : sizes) {
-      const auto txns = MakeWorkload(n, 8, 64);
-      const auto view = View(txns);
-      const double legacy_s = BestOf(reps, [&] {
-        const auto adjacency = txn::BuildLegacyAdjacency(
-            view, txn::ConflictGranularity::kShard);
-        g_sink += adjacency.back().size();
-      });
-      const double new_s = BestOf(reps, [&] {
-        const txn::ConflictGraph graph(view,
-                                       txn::ConflictGranularity::kShard);
-        g_sink += graph.MaxDegree();
-      });
-      const txn::ConflictGraph graph(view, txn::ConflictGranularity::kShard);
-      const auto legacy = txn::BuildLegacyAdjacency(
-          view, txn::ConflictGranularity::kShard);
-      record("csr_build", n, legacy_s, new_s, SameAdjacency(graph, legacy));
-    }
-  }
-
-  // -- graph colorings on prebuilt graphs: 256 shards sparsifies the
-  // cliques so the coloring loop (not the build) dominates. Greedy's win
-  // is the degree-bounded mark array, so it's measured at burst-epoch
-  // sizes where n+1 marks fall out of cache; DSATUR's is the saturation
-  // bitsets replacing std::set<Color>, already decisive at moderate n.
-  {
-    const std::vector<std::size_t> greedy_sizes =
-        smoke ? std::vector<std::size_t>{1024}
-              : std::vector<std::size_t>{4096, 16384};
-    for (const std::size_t n : greedy_sizes) {
-      const auto txns = MakeWorkload(n, 8, 256);
-      const auto view = View(txns);
-      const txn::ConflictGraph graph(view, txn::ConflictGranularity::kShard);
-      std::vector<std::uint32_t> order(graph.size());
-      std::iota(order.begin(), order.end(), 0);
-      const double legacy_s = BestOf(reps, [&] {
-        g_sink += LegacyGreedyInOrder(graph, order).num_colors;
-      });
-      const double new_s = BestOf(reps, [&] {
-        g_sink +=
-            ColorGraph(graph, txn::ColoringAlgorithm::kGreedy).num_colors;
-      });
-      record("greedy_bounded_marks", n, legacy_s, new_s,
-             SameColoring(LegacyGreedyInOrder(graph, order),
-                          ColorGraph(graph,
-                                     txn::ColoringAlgorithm::kGreedy)));
-    }
-
-    const std::vector<std::size_t> dsatur_sizes =
-        smoke ? std::vector<std::size_t>{512}
-              : std::vector<std::size_t>{1024, 4096};
-    for (const std::size_t n : dsatur_sizes) {
-      const auto txns = MakeWorkload(n, 8, 256);
-      const auto view = View(txns);
-      const txn::ConflictGraph graph(view, txn::ConflictGranularity::kShard);
-      const double legacy_s = BestOf(reps, [&] {
-        g_sink += LegacyDsatur(graph).num_colors;
-      });
-      const double new_s = BestOf(reps, [&] {
-        g_sink +=
-            ColorGraph(graph, txn::ColoringAlgorithm::kDsatur).num_colors;
-      });
-      record("bitset_dsatur", n, legacy_s, new_s,
-             SameColoring(LegacyDsatur(graph),
-                          ColorGraph(graph,
-                                     txn::ColoringAlgorithm::kDsatur)));
-    }
-  }
 
   // -- arena_scratch: clique coloring with a persistent arena, Reset per
   // epoch (the BDS/FDS StepShard steady state — zero heap traffic after

@@ -40,7 +40,8 @@ constexpr const char* kUsage = R"(simulate_cli — StableShard simulation runner
   --radius     destination radius for --strategy=local (default 4)
   --zipf       skew exponent for --strategy=hot_destination (default 1.0)
   --abort-prob probability of unsatisfiable conditions (default 0)
-  --coloring   greedy | welsh_powell | dsatur (default greedy)
+  --coloring   greedy | welsh_powell (default greedy; dsatur exits 2:
+               it needs the explicit conflict graph no scheduler builds)
   --pinned     use the conservative pinned commit mode (fds)
   --no-reschedule  disable FDS rescheduling periods
   --bds-color-leaders  bds: co-leader shards the epoch's color classes

@@ -96,9 +96,8 @@ void BdsScheduler::BeginRound(Round round) {
     epoch_start_ = round;
     epoch_end_ = kNoRound;
     num_colors_ = 0;
-    leader_ = config_.rotate_leader
-                  ? static_cast<ShardId>(epoch_index_ % metric_->shard_count())
-                  : 0;
+    // The leader rotates every epoch (the paper's load-balancing rule).
+    leader_ = static_cast<ShardId>(epoch_index_ % metric_->shard_count());
     phase_ = Phase::kShipPending;
     return;
   }
@@ -406,7 +405,6 @@ const SchedulerRegistrar kBdsRegistrar{
     "bds", [](const SimConfig& config, SchedulerDeps& deps) {
       BdsConfig bds;
       bds.coloring = config.coloring;
-      bds.rotate_leader = config.bds_rotate_leader;
       bds.color_leaders = config.bds_color_leaders;
       return std::unique_ptr<Scheduler>(
           std::make_unique<BdsScheduler>(deps.metric, deps.ledger, bds));

@@ -6,11 +6,14 @@
 //   Phase 1 (1 round)   — every home shard sends its pending transactions
 //                         to the epoch's leader shard (rotating:
 //                         S_{epoch mod s}).
-//   Phase 2 (1 round)   — the leader builds the conflict graph of the
-//                         received transactions, colors it with at most
-//                         Delta+1 colors, sends the colors back to the home
-//                         shards and broadcasts the color count (which
-//                         fixes the epoch length 2 + 4*(#colors)).
+//   Phase 2 (1 round)   — the leader colors the conflict graph of the
+//                         received transactions with at most Delta+1
+//                         colors, sends the colors back to the home shards
+//                         and broadcasts the color count (which fixes the
+//                         epoch length 2 + 4*(#colors)). The graph is never
+//                         built: the shard-granularity graph is a union of
+//                         per-shard cliques, which txn::ColorShardCliques
+//                         colors directly.
 //   Phase 3 (4 rounds per color) — for color z (0-based), at offset
 //                         2 + 4z the home shards send the subtransactions
 //                         of color-z transactions to their destination
@@ -80,9 +83,6 @@ namespace stableshard::core {
 
 struct BdsConfig {
   txn::ColoringAlgorithm coloring = txn::ColoringAlgorithm::kGreedy;
-  /// Rotate the leader shard every epoch (the paper's load-balancing rule);
-  /// disabled in the leader-rotation ablation.
-  bool rotate_leader = true;
   /// Number of co-leader shards the epoch's color classes are partitioned
   /// across (see the sharded-leader mode note above). 1 = the paper's
   /// single-leader Algorithm 1; values above the shard count are clamped.

@@ -86,6 +86,13 @@ std::string ConfigError(const SimConfig& config) {
     return UnknownName(adversary::StrategyRegistry::Global(), "strategy",
                        config.strategy);
   }
+  if (config.coloring != txn::ColoringAlgorithm::kGreedy &&
+      config.coloring != txn::ColoringAlgorithm::kWelshPowell) {
+    return Format("invalid coloring: the schedulers color without the "
+                  "conflict graph and run --coloring=greedy or "
+                  "welsh_powell (got %s)",
+                  txn::ToString(config.coloring));
+  }
   if (!(config.zipf_theta >= 0.0)) {
     return Format("invalid zipf: need --zipf >= 0 (got %g)",
                   config.zipf_theta);

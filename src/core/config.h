@@ -77,6 +77,8 @@ struct SimConfig {
   // "bds", "fds", "direct" in-tree; embedders may register more — the
   // engine never names schedulers itself).
   std::string scheduler = "bds";
+  /// Phase-2 vertex order: kGreedy or kWelshPowell. kDsatur needs the
+  /// explicit conflict graph, which no scheduler builds (ConfigError).
   txn::ColoringAlgorithm coloring = txn::ColoringAlgorithm::kGreedy;
   HierarchyKind hierarchy = HierarchyKind::kLineShifted;
   bool fds_reschedule = true;
@@ -84,7 +86,6 @@ struct SimConfig {
   /// round); disable for workloads whose votes depend on other
   /// transactions' effects (see core/commit_protocol.h).
   bool fds_pipelined = true;
-  bool bds_rotate_leader = true;
   /// "backpressure" scheduler watermarks on a per-destination congestion
   /// signal: max(messages arriving at the destination this round, its
   /// standing backlog — undelivered messages plus the queues of the

@@ -72,13 +72,8 @@ class ColorSet {
 /// used by an already-colored neighbor.
 ///
 /// Stamped marks, not bitsets: marking is then a pure store (mark[c] =
-/// step) with no read-modify-write dependency, which beats OR-ing into a
-/// shared word that every same-word neighbor serializes on (measured in
-/// bench/micro_components before settling this). The win over the
-/// original is the mark array's size: greedy never uses more than
-/// MaxDegree+1 colors, so Delta+2 slots replace the n+1 the legacy version
-/// allocated — a cache-resident array on burst epochs where n is in the
-/// tens of thousands.
+/// step) with no read-modify-write dependency on a shared word. Greedy
+/// never uses more than MaxDegree+1 colors, so Delta+2 slots suffice.
 ColoringResult GreedyInOrder(const ConflictGraph& graph,
                              const std::vector<std::uint32_t>& order) {
   const std::size_t n = graph.size();
@@ -108,9 +103,8 @@ ColoringResult Dsatur(const ConflictGraph& graph) {
 
   std::vector<ColorSet> neighbor_colors(n);
   // Priority: (saturation, degree, -v). std::set as a simple updatable heap;
-  // n is at most a few tens of thousands per epoch, and DSATUR is only used
-  // in ablations. Saturation is the bitset's popcount — identical to the
-  // old std::set<Color>::size(), so the selection order is unchanged.
+  // DSATUR only runs in tests and the coloring ablation. Saturation is the
+  // number of distinct neighbor colors.
   auto priority = [&](std::uint32_t v) {
     return std::tuple(neighbor_colors[v].count(), graph.degree(v),
                       ~static_cast<std::uint32_t>(v));
@@ -227,20 +221,17 @@ ColoringResult ColorGraph(const ConflictGraph& graph,
     default:
       SSHARD_CHECK(false && "unknown coloring algorithm");
   }
-  result.used = algorithm;
   return result;
 }
 
 ColoringResult ColorShardCliques(std::span<const Transaction* const> txns,
                                  ColoringAlgorithm algorithm,
                                  common::Arena& scratch) {
+  SSHARD_CHECK((algorithm == ColoringAlgorithm::kGreedy ||
+                algorithm == ColoringAlgorithm::kWelshPowell) &&
+               "the graph-free coloring runs greedy or Welsh-Powell only");
   const std::size_t n = txns.size();
   ColoringResult result;
-  // kDsatur has no graph-free equivalent; the Welsh-Powell proxy ordering
-  // below is what actually runs, and the result says so.
-  result.used = algorithm == ColoringAlgorithm::kDsatur
-                    ? ColoringAlgorithm::kWelshPowell
-                    : algorithm;
   result.color.assign(n, kUncolored);
   if (n == 0) return result;
 
@@ -282,7 +273,7 @@ ColoringResult ColorShardCliques(std::span<const Transaction* const> txns,
 
   std::uint32_t* order = scratch.AllocateArray<std::uint32_t>(n);
   std::iota(order, order + n, 0);
-  if (algorithm != ColoringAlgorithm::kGreedy) {
+  if (algorithm == ColoringAlgorithm::kWelshPowell) {
     // Clique-degree proxy: a transaction conflicts with at most
     // sum(shard_load - 1) others; order descending (Welsh-Powell).
     std::uint64_t* proxy = scratch.AllocateArray<std::uint64_t>(n);
@@ -300,7 +291,7 @@ ColoringResult ColorShardCliques(std::span<const Transaction* const> txns,
 
   // A color is free for a transaction iff no destination shard has used it:
   // the smallest such color is the first zero bit of the OR of the
-  // destination shards' bitsets — identical to the old per-color mark scan.
+  // destination shards' bitsets.
   ShardColorMarks marks(shard_load.size(), scratch);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t v = order[i];

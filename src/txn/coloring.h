@@ -1,22 +1,21 @@
 // Vertex colorings of the conflict graph.
 //
-// Both schedulers need a proper coloring with at most Delta+1 colors
-// (Lemma 1's epoch-length argument only relies on the greedy Delta+1
-// guarantee). The paper's simulation uses "a simple greedy coloring"; we
-// also provide Welsh-Powell (largest-degree-first greedy) and DSATUR as
-// ablation alternatives — fewer colors shorten Phase 3 by 4 rounds per
-// color saved.
+// Phase 2 needs a proper coloring with at most Delta+1 colors (Lemma 1's
+// epoch-length argument only relies on the greedy Delta+1 guarantee). The
+// paper's simulation uses "a simple greedy coloring"; Welsh-Powell
+// (largest-degree-first greedy) is the alternative ordering — fewer colors
+// shorten Phase 3 by 4 rounds per color saved.
+//
+// The schedulers run ColorShardCliques, which colors the shard-granularity
+// conflict relation without building the graph. ColorGraph colors an
+// explicit ConflictGraph; it is the reference the tests compare against
+// and the only place DSATUR runs (the coloring ablation).
 //
 // Color tracking: DSATUR and the shard-clique coloring use uint64_t bitset
 // words (saturation is a popcount; "smallest free color" is a word-wise OR
 // plus a count of trailing ones instead of a per-color scan), while plain
-// greedy keeps stamped mark stores — marking must stay a pure store, and
-// its array is sized by the greedy color bound (MaxDegree + 2) instead of
-// n + 1 so burst epochs keep it cache-resident. Every assignment produced
-// is bit-identical to the original implementation — same smallest absent
-// color from the same neighbor set in the same vertex order (the originals
-// survive in bench/micro_components as the "legacy" baselines for
-// BENCH_micro.json).
+// greedy keeps stamped mark stores sized by the greedy color bound
+// (MaxDegree + 2).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +31,7 @@ namespace stableshard::txn {
 enum class ColoringAlgorithm : std::uint8_t {
   kGreedy,       ///< vertices in input (txn id) order — the paper's choice
   kWelshPowell,  ///< vertices in decreasing degree order
-  kDsatur,       ///< max saturation degree first
+  kDsatur,       ///< max saturation degree first (ColorGraph only)
 };
 
 const char* ToString(ColoringAlgorithm algorithm);
@@ -40,12 +39,6 @@ const char* ToString(ColoringAlgorithm algorithm);
 struct ColoringResult {
   std::vector<Color> color;   ///< per-vertex color, 0-based
   std::uint32_t num_colors = 0;
-  /// The algorithm that actually ran. ColorGraph always honors the request;
-  /// ColorShardCliques cannot run true DSATUR without the explicit graph
-  /// and falls back to kWelshPowell — that fallback is recorded here
-  /// instead of being silent, so callers (e.g. bench/ablation_coloring)
-  /// can label the row with what really executed.
-  ColoringAlgorithm used = ColoringAlgorithm::kGreedy;
 };
 
 /// Colors `graph` with the chosen algorithm. The result is always a proper
@@ -66,11 +59,10 @@ ColoringResult ColorGraph(const ConflictGraph& graph,
 ///
 /// kGreedy orders by input (id) order; kWelshPowell orders by decreasing
 /// clique-degree proxy (sum over destinations of the shard's transaction
-/// count); kDsatur falls back to kWelshPowell (true DSATUR needs the
-/// explicit graph — use ColorGraph for small instances / ablations) and
-/// reports the fallback via ColoringResult::used. Colors used <= Delta + 1
-/// where Delta is the max vertex degree of the clique-union graph (the
-/// greedy bound Lemma 1 relies on).
+/// count). kDsatur needs the explicit graph and dies here (SSHARD_CHECK);
+/// core::ConfigError rejects it before a scheduler is built. Colors used
+/// <= Delta + 1 where Delta is the max vertex degree of the clique-union
+/// graph (the greedy bound Lemma 1 relies on).
 ///
 /// The `scratch` overload bump-allocates all internal scratch (ordering
 /// arrays, shard color bitsets) from the caller's arena — the schedulers

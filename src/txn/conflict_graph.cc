@@ -1,230 +1,92 @@
 #include "txn/conflict_graph.h"
 
 #include <algorithm>
-#include <bit>
 #include <unordered_map>
 
 #include "common/check.h"
 
 namespace stableshard::txn {
 
-namespace {
-
-/// Account-granularity inverted index: account -> (readers, writers).
-struct AccountUsers {
-  std::vector<std::uint32_t> readers;
-  std::vector<std::uint32_t> writers;
-};
-
-std::unordered_map<AccountId, AccountUsers> BuildAccountIndex(
-    const std::vector<const Transaction*>& txns) {
-  std::unordered_map<AccountId, AccountUsers> users;
-  for (std::size_t v = 0; v < txns.size(); ++v) {
-    for (const Transaction::Access& access : txns[v]->accesses()) {
-      AccountUsers& u = users[access.account];
-      (access.write ? u.writers : u.readers)
-          .push_back(static_cast<std::uint32_t>(v));
-    }
-  }
-  return users;
-}
-
-/// Shard-granularity inverted index: destination shard -> users.
-std::unordered_map<ShardId, std::vector<std::uint32_t>> BuildShardIndex(
-    const std::vector<const Transaction*>& txns) {
-  std::unordered_map<ShardId, std::vector<std::uint32_t>> users;
-  for (std::size_t v = 0; v < txns.size(); ++v) {
-    for (const ShardId shard : txns[v]->destinations()) {
-      users[shard].push_back(static_cast<std::uint32_t>(v));
-    }
-  }
-  return users;
-}
-
-}  // namespace
-
 ConflictGraph::ConflictGraph(const std::vector<const Transaction*>& txns,
-                             ConflictGranularity granularity) {
+                             ConflictGranularity granularity)
+    : rows_(txns.size()) {
   const std::size_t n = txns.size();
   SSHARD_CHECK(n <= UINT32_MAX);
-  ids_.resize(n);
-  for (std::size_t v = 0; v < n; ++v) ids_[v] = txns[v]->id();
-  offsets_.assign(n + 1, 0);
+  ids_.reserve(n);
+  for (const Transaction* txn : txns) ids_.push_back(txn->id());
+  const auto link = [&](std::uint32_t a, std::uint32_t b) {
+    rows_[a].push_back(b);
+    rows_[b].push_back(a);
+  };
 
-  // Pass 1 (count): candidate-neighbor count per vertex, duplicates
-  // included — two transactions sharing several accounts/shards are
-  // counted once per share, exactly the entries pass 2 will write.
   if (granularity == ConflictGranularity::kShard) {
-    const auto users = BuildShardIndex(txns);
-    // lint:allow(unordered-iteration): rows are sorted/deduped below.
-    for (const auto& [shard, list] : users) {
-      (void)shard;
-      for (const std::uint32_t v : list) {
-        offsets_[v + 1] += list.size() - 1;
+    // Destination shard -> users: every same-shard pair conflicts.
+    std::unordered_map<ShardId, std::vector<std::uint32_t>> users;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      for (const ShardId shard : txns[v]->destinations()) {
+        users[shard].push_back(v);
       }
     }
-    // offsets_[v] = first candidate slot of vertex v (exclusive scan).
-    for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
-    neighbors_.resize(offsets_[n]);
-
-    // Pass 2 (fill): every same-shard pair, both directions.
-    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
     // lint:allow(unordered-iteration): rows are sorted/deduped below.
     for (const auto& [shard, list] : users) {
       (void)shard;
       for (std::size_t i = 0; i < list.size(); ++i) {
         for (std::size_t j = i + 1; j < list.size(); ++j) {
-          neighbors_[cursor[list[i]]++] = list[j];
-          neighbors_[cursor[list[j]]++] = list[i];
+          link(list[i], list[j]);
         }
       }
     }
   } else {
-    // Account granularity: shared account with >= 1 write — writer-writer
-    // and writer-reader pairs conflict.
-    const auto users = BuildAccountIndex(txns);
-    // lint:allow(unordered-iteration): rows are sorted/deduped below.
-    for (const auto& [account, u] : users) {
-      (void)account;
-      for (const std::uint32_t w : u.writers) {
-        offsets_[w + 1] += (u.writers.size() - 1) + u.readers.size();
-      }
-      for (const std::uint32_t r : u.readers) {
-        offsets_[r + 1] += u.writers.size();
+    // Account -> (readers, writers): a shared account with >= 1 write
+    // conflicts, so writer-writer and writer-reader pairs get an edge.
+    struct AccountUsers {
+      std::vector<std::uint32_t> readers;
+      std::vector<std::uint32_t> writers;
+    };
+    std::unordered_map<AccountId, AccountUsers> users;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      for (const Transaction::Access& access : txns[v]->accesses()) {
+        AccountUsers& u = users[access.account];
+        (access.write ? u.writers : u.readers).push_back(v);
       }
     }
-    for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
-    neighbors_.resize(offsets_[n]);
-
-    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
     // lint:allow(unordered-iteration): rows are sorted/deduped below.
     for (const auto& [account, u] : users) {
       (void)account;
       for (std::size_t i = 0; i < u.writers.size(); ++i) {
         for (std::size_t j = i + 1; j < u.writers.size(); ++j) {
-          neighbors_[cursor[u.writers[i]]++] = u.writers[j];
-          neighbors_[cursor[u.writers[j]]++] = u.writers[i];
+          link(u.writers[i], u.writers[j]);
         }
         for (const std::uint32_t reader : u.readers) {
-          neighbors_[cursor[u.writers[i]]++] = reader;
-          neighbors_[cursor[reader]++] = u.writers[i];
+          link(u.writers[i], reader);
         }
       }
     }
   }
 
-  // Sort + deduplicate each row and compact the flat array (the write
-  // cursor never overtakes a row's unread candidates — dedup only
-  // shrinks). Sorted adjacency is a class invariant: HasEdge
-  // binary-searches it, which keeps serializability checks O(log d) per
-  // probe on burst epochs.
-  //
-  // Small rows sort in place; dense rows (burst epochs produce near-clique
-  // rows with thousands of duplicate candidates) mark an n-bit bitmap and
-  // emit its set bits in index order — already sorted and deduplicated,
-  // O(candidates + touched words) instead of O(d log d). The bitmap is
-  // zeroed again during emission, so it costs one allocation per build.
-  std::vector<std::uint64_t> bitmap((n + 63) / 64, 0);
-  constexpr std::size_t kSortedRowMax = 32;
-  std::size_t write = 0;
-  std::size_t row_begin = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t row_end = offsets_[v + 1];
-    offsets_[v] = write;
-    if (row_end - row_begin <= kSortedRowMax) {
-      const auto begin = neighbors_.begin() + row_begin;
-      const auto end = neighbors_.begin() + row_end;
-      std::sort(begin, end);
-      const auto unique_end = std::unique(begin, end);
-      write = std::copy(begin, unique_end, neighbors_.begin() + write) -
-              neighbors_.begin();
-    } else {
-      std::size_t min_word = bitmap.size();
-      std::size_t max_word = 0;
-      for (std::size_t i = row_begin; i < row_end; ++i) {
-        const std::uint32_t u = neighbors_[i];
-        const std::size_t w = u >> 6;
-        bitmap[w] |= std::uint64_t{1} << (u & 63);
-        min_word = std::min(min_word, w);
-        max_word = std::max(max_word, w);
-      }
-      // Emission may overwrite the candidate slots just read — safe, the
-      // bitmap already holds the row.
-      for (std::size_t w = min_word; w <= max_word; ++w) {
-        std::uint64_t word = bitmap[w];
-        bitmap[w] = 0;
-        while (word != 0) {
-          const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
-          word &= word - 1;
-          neighbors_[write++] = static_cast<std::uint32_t>(64 * w) + bit;
-        }
-      }
-    }
-    row_begin = row_end;
+  // Two transactions sharing several accounts/shards are linked once per
+  // share. Sorted rows are a class invariant: HasEdge binary-searches them.
+  for (std::vector<std::uint32_t>& row : rows_) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    edge_count_ += row.size();
   }
-  offsets_[n] = write;
-  neighbors_.resize(write);
-  neighbors_.shrink_to_fit();
-  edge_count_ = write / 2;
+  edge_count_ /= 2;
 }
 
 std::size_t ConflictGraph::MaxDegree() const {
   std::size_t max_degree = 0;
-  for (std::size_t v = 0; v + 1 < offsets_.size(); ++v) {
-    max_degree = std::max(max_degree, offsets_[v + 1] - offsets_[v]);
+  for (const std::vector<std::uint32_t>& row : rows_) {
+    max_degree = std::max(max_degree, row.size());
   }
   return max_degree;
 }
 
 bool ConflictGraph::HasEdge(std::size_t a, std::size_t b) const {
-  const auto adj = neighbors(a);
-  SSHARD_DCHECK(std::is_sorted(adj.begin(), adj.end()));
-  return std::binary_search(adj.begin(), adj.end(),
+  const std::vector<std::uint32_t>& row = rows_[a];
+  SSHARD_DCHECK(std::is_sorted(row.begin(), row.end()));
+  return std::binary_search(row.begin(), row.end(),
                             static_cast<std::uint32_t>(b));
-}
-
-std::vector<std::vector<std::uint32_t>> BuildLegacyAdjacency(
-    const std::vector<const Transaction*>& txns,
-    ConflictGranularity granularity) {
-  const std::size_t n = txns.size();
-  SSHARD_CHECK(n <= UINT32_MAX);
-  std::vector<std::vector<std::uint32_t>> adjacency(n);
-
-  if (granularity == ConflictGranularity::kShard) {
-    const auto users = BuildShardIndex(txns);
-    // lint:allow(unordered-iteration): rows are sorted/deduped below.
-    for (const auto& [shard, list] : users) {
-      (void)shard;
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        for (std::size_t j = i + 1; j < list.size(); ++j) {
-          adjacency[list[i]].push_back(list[j]);
-          adjacency[list[j]].push_back(list[i]);
-        }
-      }
-    }
-  } else {
-    const auto users = BuildAccountIndex(txns);
-    // lint:allow(unordered-iteration): rows are sorted/deduped below.
-    for (const auto& [account, u] : users) {
-      (void)account;
-      for (std::size_t i = 0; i < u.writers.size(); ++i) {
-        for (std::size_t j = i + 1; j < u.writers.size(); ++j) {
-          adjacency[u.writers[i]].push_back(u.writers[j]);
-          adjacency[u.writers[j]].push_back(u.writers[i]);
-        }
-        for (const std::uint32_t reader : u.readers) {
-          adjacency[u.writers[i]].push_back(reader);
-          adjacency[reader].push_back(u.writers[i]);
-        }
-      }
-    }
-  }
-
-  for (auto& adj : adjacency) {
-    std::sort(adj.begin(), adj.end());
-    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-  }
-  return adjacency;
 }
 
 }  // namespace stableshard::txn

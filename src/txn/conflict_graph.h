@@ -1,25 +1,16 @@
 // Transaction conflict graph (paper Section 3).
 //
 // Vertices are transactions; an edge joins two transactions that access a
-// common account with at least one write. Both schedulers color this graph
-// (Phase 2) to produce a conflict-free commit schedule: same-color
-// transactions are mutually non-conflicting and commit concurrently.
+// common account with at least one write. The paper's Phase 2 colors this
+// graph to produce a conflict-free commit schedule: same-color transactions
+// are mutually non-conflicting and commit concurrently.
 //
-// Construction is O(sum over accounts of writers*accessors) via an
-// account-indexed inverted list rather than the naive O(n^2) pairwise scan,
-// which matters for the burst workloads (tens of thousands of transactions
-// in one epoch).
-//
-// Storage is CSR (compressed sparse row): one flat `offsets` array and one
-// flat `neighbors` array, built in two passes over the inverted list (count
-// candidates, then fill) followed by an in-place per-row sort + dedup +
-// compaction. Two transactions sharing several accounts produce duplicate
-// candidates exactly like the old vector-of-vectors representation did —
-// the dedup pass collapses them, so the final neighbor sets are identical
-// by construction (asserted by the CSR-vs-legacy differential test against
-// BuildLegacyAdjacency below). The flat layout removes one pointer chase
-// and one heap allocation per vertex from the coloring inner loop, which
-// walks `neighbors(v)` once per vertex per epoch.
+// The schedulers never build it: they color the shard-granularity graph
+// without materializing it (ColorShardCliques in txn/coloring.h). This
+// class is the explicit-graph reference for the tests and the coloring
+// ablation. It is built from an account- (or shard-) indexed inverted list,
+// O(sum over accounts of writers*accessors), not the naive O(n^2) pairwise
+// scan; each row is then sorted and deduplicated.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +31,7 @@ namespace stableshard::txn {
 /// transactions must be shard-disjoint for the schedule to respect unit
 /// shard capacity. With the paper's simulation setup (one account per
 /// shard, write-only workload) the two definitions coincide; the schedulers
-/// color the kShard graph, and kAccount is used for serializability
+/// color the kShard relation, and kAccount is used for serializability
 /// analysis and ablations.
 enum class ConflictGranularity : std::uint8_t { kAccount, kShard };
 
@@ -54,14 +45,11 @@ class ConflictGraph {
 
   std::size_t size() const { return ids_.size(); }
   /// Neighbor vertex indices, sorted ascending and deduplicated (class
-  /// invariant established at construction; HasEdge relies on it). The
-  /// span views the flat CSR slice — valid as long as the graph lives.
+  /// invariant established at construction; HasEdge relies on it).
   std::span<const std::uint32_t> neighbors(std::size_t v) const {
-    return {neighbors_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+    return rows_[v];
   }
-  std::size_t degree(std::size_t v) const {
-    return offsets_[v + 1] - offsets_[v];
-  }
+  std::size_t degree(std::size_t v) const { return rows_[v].size(); }
 
   /// Maximum vertex degree Delta (epoch length driver in Lemma 1).
   std::size_t MaxDegree() const;
@@ -73,21 +61,9 @@ class ConflictGraph {
   bool HasEdge(std::size_t a, std::size_t b) const;
 
  private:
-  /// CSR row starts: neighbors of v live at neighbors_[offsets_[v]
-  /// .. offsets_[v+1]). Always n + 1 entries (offsets_[n] == total).
-  std::vector<std::size_t> offsets_;
-  std::vector<std::uint32_t> neighbors_;
+  std::vector<std::vector<std::uint32_t>> rows_;
   std::vector<TxnId> ids_;
   std::uint64_t edge_count_ = 0;
 };
-
-/// The pre-CSR vector-of-vectors adjacency, kept ONLY as the differential
-/// oracle for tests and the micro-benchmark baseline (BM row
-/// "csr_build" in bench/micro_components) — production code must go
-/// through ConflictGraph. Each inner vector is sorted + deduplicated,
-/// exactly the invariant the CSR rows guarantee.
-std::vector<std::vector<std::uint32_t>> BuildLegacyAdjacency(
-    const std::vector<const Transaction*>& txns,
-    ConflictGranularity granularity = ConflictGranularity::kAccount);
 
 }  // namespace stableshard::txn

@@ -136,17 +136,6 @@ TEST(Bds, LeaderRotates) {
             scheduler.epoch_index() % config.shards);
 }
 
-TEST(Bds, FixedLeaderWhenRotationDisabled) {
-  SimConfig config = SmallConfig("bds");
-  config.bds_rotate_leader = false;
-  config.rounds = 200;
-  config.drain_cap = 0;
-  Simulation sim(config);
-  auto& scheduler = dynamic_cast<core::BdsScheduler&>(sim.scheduler());
-  sim.Run();
-  EXPECT_EQ(scheduler.current_leader(), 0u);
-}
-
 TEST(Bds, AbortingTransactionsResolve) {
   SimConfig config = SmallConfig("bds");
   config.abort_probability = 0.3;
@@ -184,9 +173,8 @@ TEST(Bds, EmptyEpochsAreShort) {
 }
 
 TEST(Bds, ColoringAlternativesAllCorrect) {
-  for (const auto algorithm :
-       {txn::ColoringAlgorithm::kGreedy, txn::ColoringAlgorithm::kWelshPowell,
-        txn::ColoringAlgorithm::kDsatur}) {
+  for (const auto algorithm : {txn::ColoringAlgorithm::kGreedy,
+                               txn::ColoringAlgorithm::kWelshPowell}) {
     SimConfig config = SmallConfig("bds");
     config.coloring = algorithm;
     config.rounds = 800;

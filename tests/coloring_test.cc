@@ -154,8 +154,7 @@ TEST(ShardCliqueColoring, MatchesGraphGuaranteeOnRandomBatches) {
     for (const auto& txn : txns) view.push_back(&txn);
     const ConflictGraph graph(view, ConflictGranularity::kShard);
     for (const auto algorithm : {ColoringAlgorithm::kGreedy,
-                                 ColoringAlgorithm::kWelshPowell,
-                                 ColoringAlgorithm::kDsatur}) {
+                                 ColoringAlgorithm::kWelshPowell}) {
       const auto result = ColorShardCliques(view, algorithm);
       EXPECT_TRUE(IsProperShardColoring(view, result.color));
       EXPECT_TRUE(IsProperColoring(graph, result.color));
@@ -254,32 +253,11 @@ TEST(Coloring, SpilloverProperOnMixedWorkload) {
   EXPECT_TRUE(IsProperColoring(graph, cliques.color));
 }
 
-TEST(ShardCliqueColoring, DsaturFallbackRecordedInMetadata) {
-  // ColorShardCliques cannot run true DSATUR without the explicit graph;
-  // the kWelshPowell fallback must be recorded in ColoringResult::used
-  // (and actually be Welsh-Powell), while ColorGraph always honors the
-  // requested algorithm.
-  const auto map = chain::AccountMap::RoundRobin(16, 16);
-  const auto txns = RandomWorkload(map, 4, 150, 21);
-  std::vector<const Transaction*> view;
-  for (const auto& txn : txns) view.push_back(&txn);
-
-  const auto dsatur = ColorShardCliques(view, ColoringAlgorithm::kDsatur);
-  EXPECT_EQ(dsatur.used, ColoringAlgorithm::kWelshPowell);
-  const auto wp = ColorShardCliques(view, ColoringAlgorithm::kWelshPowell);
-  EXPECT_EQ(wp.used, ColoringAlgorithm::kWelshPowell);
-  EXPECT_EQ(dsatur.color, wp.color);  // the fallback really ran Welsh-Powell
-  EXPECT_EQ(dsatur.num_colors, wp.num_colors);
-  EXPECT_EQ(ColorShardCliques(view, ColoringAlgorithm::kGreedy).used,
-            ColoringAlgorithm::kGreedy);
-
-  const ConflictGraph graph(view, ConflictGranularity::kShard);
-  EXPECT_EQ(ColorGraph(graph, ColoringAlgorithm::kDsatur).used,
-            ColoringAlgorithm::kDsatur);
-  EXPECT_EQ(ColorGraph(graph, ColoringAlgorithm::kWelshPowell).used,
-            ColoringAlgorithm::kWelshPowell);
-  EXPECT_EQ(ColorGraph(graph, ColoringAlgorithm::kGreedy).used,
-            ColoringAlgorithm::kGreedy);
+TEST(ShardCliqueColoringDeath, RejectsDsatur) {
+  // DSATUR needs the explicit graph; the graph-free coloring refuses it
+  // instead of running another ordering under its name.
+  EXPECT_DEATH(ColorShardCliques({}, ColoringAlgorithm::kDsatur),
+               "SSHARD_CHECK");
 }
 
 TEST(ShardCliqueColoring, ArenaOverloadMatchesAndRecyclesScratch) {

@@ -176,6 +176,14 @@ TEST(ConfigError, OneRowPerCondition) {
        "unknown --scheduler=nope; registered: backpressure bds direct fds"},
       {"strategy", [](SimConfig& c) { c.strategy = "nope"; },
        "unknown --strategy=nope; registered: diameter_span hot_destination"},
+      {"dsatur coloring",
+       [](SimConfig& c) { c.coloring = txn::ColoringAlgorithm::kDsatur; },
+       "invalid coloring: "},
+      {"welsh-powell coloring",
+       [](SimConfig& c) {
+         c.coloring = txn::ColoringAlgorithm::kWelshPowell;
+       },
+       ""},
       {"zipf", [](SimConfig& c) { c.zipf_theta = -1; }, "invalid zipf: "},
       {"arrival rate", [](SimConfig& c) { c.arrival_rate = -1; },
        "invalid arrival-rate: need --arrival-rate >= 0"},

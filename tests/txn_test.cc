@@ -205,86 +205,108 @@ TEST(ConflictGraph, AdjacencySortedForBinarySearch) {
   EXPECT_EQ(graph.edge_count(), 4u);
 }
 
-TEST(ConflictGraph, MatchesLegacyAdjacencyOnRandomWorkloads) {
-  // Differential check of the CSR build (two-pass count/fill plus the
-  // hybrid sort/bitmap row dedup) against the original vector-of-vectors
-  // builder, which stays in the library as the oracle. The dense cases
-  // funnel many transactions through few accounts/shards so rows exceed
-  // the 32-candidate cutoff and take the bitmap-dedup path; the sparse
-  // case keeps rows on the in-place sort path.
+/// The edge definitions themselves, pair by pair, sharing no code with
+/// the builder's inverted index.
+bool ReferenceEdge(const Transaction& a, const Transaction& b,
+                   ConflictGranularity granularity) {
+  if (granularity == ConflictGranularity::kAccount) {
+    return a.ConflictsWith(b);
+  }
+  return std::any_of(a.destinations().begin(), a.destinations().end(),
+                     [&](ShardId shard) {
+                       return std::find(b.destinations().begin(),
+                                        b.destinations().end(),
+                                        shard) != b.destinations().end();
+                     });
+}
+
+/// Checks every pair (u, v) of both granularities against ReferenceEdge,
+/// and degree / MaxDegree / edge_count against the same pairwise count.
+void ExpectMatchesPairwiseDefinition(
+    const std::vector<const Transaction*>& view, const char* label) {
+  for (const auto granularity :
+       {ConflictGranularity::kAccount, ConflictGranularity::kShard}) {
+    const ConflictGraph graph(view, granularity);
+    ASSERT_EQ(graph.size(), view.size()) << label;
+    std::uint64_t edge_ends = 0;
+    std::size_t max_degree = 0;
+    for (std::size_t u = 0; u < view.size(); ++u) {
+      std::size_t degree = 0;
+      for (std::size_t v = 0; v < view.size(); ++v) {
+        const bool edge =
+            u != v && ReferenceEdge(*view[u], *view[v], granularity);
+        degree += edge ? 1 : 0;
+        ASSERT_EQ(graph.HasEdge(u, v), edge)
+            << label << " granularity " << static_cast<int>(granularity)
+            << ": " << u << " -> " << v;
+      }
+      const auto row = graph.neighbors(u);
+      EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << label;
+      EXPECT_EQ(row.size(), degree) << label << " row " << u;
+      EXPECT_EQ(graph.degree(u), degree) << label << " row " << u;
+      edge_ends += degree;
+      max_degree = std::max(max_degree, degree);
+    }
+    EXPECT_EQ(graph.edge_count(), edge_ends / 2) << label;
+    EXPECT_EQ(graph.MaxDegree(), max_degree) << label;
+  }
+}
+
+TEST(ConflictGraph, MatchesPairwiseDefinition) {
+  // Random batches: sparse rows, dense rows (many transactions funnelled
+  // through few accounts/shards, so rows collect many duplicate
+  // candidates), near-cliques at both granularities, and a mix of
+  // read-only and write accesses (writer-reader pairs conflict at
+  // kAccount, reader-reader pairs do not).
   struct WorkloadCase {
+    const char* label;
     ShardId shards;
     AccountId accounts;
     std::uint32_t k;
     std::size_t count;
     std::uint64_t seed;
+    bool some_reads;
   };
   for (const WorkloadCase& wc :
-       {WorkloadCase{32, 64, 4, 200, 1},   // sparse rows: sort path
-        WorkloadCase{4, 8, 3, 120, 2},     // dense rows: bitmap path
-        WorkloadCase{2, 4, 2, 90, 3}}) {   // near-clique at both granularities
+       {WorkloadCase{"sparse", 32, 64, 4, 200, 1, false},
+        WorkloadCase{"dense", 4, 8, 3, 120, 2, false},
+        WorkloadCase{"near-clique", 2, 4, 2, 90, 3, false},
+        WorkloadCase{"reads", 8, 16, 3, 150, 4, true}}) {
     const auto map = chain::AccountMap::RoundRobin(wc.shards, wc.accounts);
     Rng rng(wc.seed);
     TxnFactory factory(map);
     std::vector<Transaction> txns;
     for (std::size_t i = 0; i < wc.count; ++i) {
       const std::uint64_t span = 1 + rng.NextBounded(wc.k);
-      const auto picks = rng.SampleWithoutReplacement(wc.accounts, span);
-      txns.push_back(factory.MakeTouch(
-          static_cast<ShardId>(rng.NextBounded(wc.shards)), 0,
-          std::vector<AccountId>(picks.begin(), picks.end())));
+      std::vector<AccessSpec> accesses;
+      for (const std::uint64_t pick :
+           rng.SampleWithoutReplacement(wc.accounts, span)) {
+        AccessSpec spec;
+        spec.account = static_cast<AccountId>(pick);
+        spec.write = !wc.some_reads || rng.NextBounded(2) == 0;
+        if (spec.write) spec.action.kind = chain::ActionKind::kDeposit;
+        accesses.push_back(spec);
+      }
+      txns.push_back(factory.Make(
+          static_cast<ShardId>(rng.NextBounded(wc.shards)), 0, accesses));
     }
     std::vector<const Transaction*> view;
     for (const auto& txn : txns) view.push_back(&txn);
-
-    for (const auto granularity :
-         {ConflictGranularity::kAccount, ConflictGranularity::kShard}) {
-      const ConflictGraph graph(view, granularity);
-      const auto legacy = BuildLegacyAdjacency(view, granularity);
-      ASSERT_EQ(graph.size(), legacy.size());
-      std::size_t edge_ends = 0;
-      std::size_t max_degree = 0;
-      for (std::size_t v = 0; v < graph.size(); ++v) {
-        const auto row = graph.neighbors(v);
-        EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
-                  legacy[v])
-            << "row " << v << " seed " << wc.seed;
-        EXPECT_EQ(graph.degree(v), legacy[v].size());
-        edge_ends += legacy[v].size();
-        max_degree = std::max(max_degree, legacy[v].size());
-      }
-      EXPECT_EQ(graph.edge_count(), edge_ends / 2);
-      EXPECT_EQ(graph.MaxDegree(), max_degree);
-      for (std::size_t v = 0; v < graph.size(); v += 7) {
-        for (std::size_t u = 0; u < graph.size(); u += 5) {
-          const bool in_legacy =
-              std::find(legacy[v].begin(), legacy[v].end(),
-                        static_cast<std::uint32_t>(u)) != legacy[v].end();
-          EXPECT_EQ(graph.HasEdge(v, u), in_legacy) << v << " -> " << u;
-        }
-      }
-    }
+    ExpectMatchesPairwiseDefinition(view, wc.label);
   }
-}
 
-TEST(ConflictGraph, DenseCliqueRowDedupMatchesLegacy) {
-  // 40 transactions writing the same account: every row holds 39 candidate
-  // entries — past the sort/bitmap cutoff — and must come out as the other
-  // 39 vertices, sorted, exactly as the legacy builder produces.
+  // 40 transactions writing the same account: one clique, every row the
+  // other 39 vertices.
   const auto map = MakeMap(4, 4);
   TxnFactory factory(map);
   std::vector<Transaction> txns;
   for (int i = 0; i < 40; ++i) txns.push_back(factory.MakeTouch(0, 0, {0}));
   std::vector<const Transaction*> view;
   for (const auto& txn : txns) view.push_back(&txn);
+  ExpectMatchesPairwiseDefinition(view, "40 writers");
   const ConflictGraph graph(view, ConflictGranularity::kAccount);
-  const auto legacy = BuildLegacyAdjacency(view, ConflictGranularity::kAccount);
   EXPECT_EQ(graph.MaxDegree(), 39u);
   EXPECT_EQ(graph.edge_count(), 40u * 39u / 2u);
-  for (std::size_t v = 0; v < graph.size(); ++v) {
-    const auto row = graph.neighbors(v);
-    EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), legacy[v]);
-  }
 }
 
 TEST(ConflictGraph, TxnIdsPreserved) {
